@@ -78,13 +78,19 @@ def rate_of(s) -> float | np.ndarray:
 def interference_at(
     rx_pos: np.ndarray, tx_pos: np.ndarray, tx_power_w: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Summed interferer power at each receiver, (R,) from (R,2) x (T,2)."""
-    if len(tx_pos) == 0:
-        return np.zeros(len(rx_pos))
-    d2 = ((rx_pos[:, None, :] - tx_pos[None, :, :]) ** 2).sum(axis=2)
+    """Summed interferer power at each of R receivers, as an (R,) array.
+
+    tx_pos is one interferer set (T,2) heard by every receiver, or one row
+    per receiver (R,L,2); tx_power_w broadcasts the same way, (T,) or (R,L).
+    Each receiver's row is summed on its own, so a receiver gets the same
+    value in a batch as it would alone.
+    """
+    dx = rx_pos[:, 0, None] - tx_pos[..., 0]
+    dy = rx_pos[:, 1, None] - tx_pos[..., 1]
+    d2 = dx * dx + dy * dy
     if (d2 <= 0).any():
         raise ValueError("interferer co-located with receiver")
-    return (tx_power_w[None, :] * d2 ** (-alpha / 2.0)).sum(axis=1)
+    return (tx_power_w * d2 ** (-alpha / 2.0)).sum(axis=1)
 
 
 def sinr_at(
@@ -96,8 +102,14 @@ def sinr_at(
     noise: float,
     alpha: float,
 ) -> np.ndarray:
-    """SINR for many receivers of one transmitter against one interferer set."""
-    d2 = ((rx_pos - signal_tx[None, :]) ** 2).sum(axis=1)
+    """SINR at each of R receivers (R,2), the one vectorized form.
+
+    signal_tx is one transmitter (2,) for all receivers or one per receiver
+    (R,2); the interferers are shared or per receiver as in interference_at.
+    """
+    dx = rx_pos[:, 0] - signal_tx[..., 0]
+    dy = rx_pos[:, 1] - signal_tx[..., 1]
+    d2 = dx * dx + dy * dy
     if (d2 <= 0).any():
         raise ValueError("receiver co-located with its transmitter")
     signal = signal_power * d2 ** (-alpha / 2.0)

@@ -137,6 +137,8 @@ def paths_through_cell(pairs_cells: np.ndarray, grid: CellGrid) -> np.ndarray:
 def path_load_census(pairs_cells: np.ndarray, k: int) -> np.ndarray:
     """Vectorized HV path-cell census via difference arrays, O(P + k^2).
 
+    The difference arrays are integer bincounts over flat cell indices.
+
     Each path contributes its horizontal run [sx..dx] at row sy and its
     vertical run at column dx excluding row sy (counted once at the turn).
     """
@@ -149,19 +151,19 @@ def path_load_census(pairs_cells: np.ndarray, k: int) -> np.ndarray:
     # horizontal run: rows sy, columns min(sx,dx)..max(sx,dx)
     xlo = np.minimum(sx, dx)
     xhi = np.maximum(sx, dx)
-    diff_h = np.zeros((k + 1, k), dtype=np.int64)
-    np.add.at(diff_h, (xlo, sy), 1)
-    np.add.at(diff_h, (xhi + 1, sy), -1)
-    counts += np.cumsum(diff_h, axis=0)[:k]
+    size = (k + 1) * k
+    diff_h = (np.bincount(xlo * k + sy, minlength=size)
+              - np.bincount((xhi + 1) * k + sy, minlength=size))
+    counts += np.cumsum(diff_h.reshape(k + 1, k), axis=0)[:k]
 
     # vertical run: column dx, rows between sy (exclusive) and dy (inclusive)
     vert = dy != sy
     if vert.any():
         vy_lo = np.where(dy > sy, sy + 1, dy)[vert]
         vy_hi = np.where(dy > sy, dy, sy - 1)[vert]
-        diff_v = np.zeros((k, k + 1), dtype=np.int64)
-        np.add.at(diff_v, (dx[vert], vy_lo), 1)
-        np.add.at(diff_v, (dx[vert], vy_hi + 1), -1)
-        counts += np.cumsum(diff_v, axis=1)[:, :k]
+        col = dx[vert] * (k + 1)
+        diff_v = (np.bincount(col + vy_lo, minlength=size)
+                  - np.bincount(col + vy_hi + 1, minlength=size))
+        counts += np.cumsum(diff_v.reshape(k, k + 1), axis=1)[:, :k]
 
     return counts.ravel()

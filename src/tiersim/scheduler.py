@@ -124,11 +124,12 @@ def preservation_regions(
 
 
 def blocked_secondary_cells(regions, s_grid: CellGrid) -> np.ndarray:
-    """Union of member secondary cells over regions, as a boolean mask."""
-    mask = np.zeros(s_grid.cell_count, dtype=bool)
-    for region in regions:
-        mask[region.secondary_cells(s_grid.side_count)] = True
-    return mask
+    """Union of member secondary cells over regions, as a flat boolean mask."""
+    k = s_grid.side_count
+    mask = np.zeros((k, k), dtype=bool)
+    for r in regions:
+        mask[r.sec_x0 : r.sec_x1 + 1, r.sec_y0 : r.sec_y1 + 1] = True
+    return mask.ravel()
 
 
 def rects_overlap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:

@@ -29,7 +29,13 @@ import numpy as np
 from . import phy
 from .deployment import PRIMARY, SECONDARY, ConfigurationError, Deployment
 from .routing import RelayAssignment, hv_path_cells, path_load_census
-from .scheduler import Region, preservation_regions, place_collection_regions, slot_offsets
+from .scheduler import (
+    Region,
+    blocked_secondary_cells,
+    place_collection_regions,
+    preservation_regions,
+    slot_offsets,
+)
 
 __all__ = [
     "RunOptions",
@@ -41,6 +47,9 @@ __all__ = [
 ]
 
 TICKS = 64
+
+# audited hops as (transmitter (H,2), receiver (H,2), sending cell (H,)) arrays
+NO_HOPS = (np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
 
 
 def relay_count(m: float) -> int:
@@ -159,7 +168,6 @@ class TransportSim:
         self._packet_seq = 0
         self.tx_log_frames: list[int] = []
         self.tx_log_cells: list[int] = []
-        self._audit_cache: dict[int, list] = {}
 
     # ======== setup ========
 
@@ -177,6 +185,8 @@ class TransportSim:
         self.pair_int_dest_cell = np.full(self.n_pairs_p, -1, dtype=np.int64)
         self.pair_sink = dst_cells.astype(np.int64)
         sec_in_prim = dep.secondary_index_primary_grid
+        # the handover node depends only on (penultimate cell, sink cell)
+        int_dest: dict[tuple[int, int], int] = {}
         for i in range(self.n_pairs_p):
             path = hv_path_cells(int(src_cells[i]), int(dst_cells[i]), self.k_p)
             self.pair_path.append(path)
@@ -184,13 +194,18 @@ class TransportSim:
                 self.pair_direct[i] = True
                 continue
             self.pair_relay_cell[i] = path[1]
-            penult = path[-2]
-            members = sec_in_prim.members(penult)
-            if len(members) == 0:
+            key = (path[-2], path[-1])
+            node = int_dest.get(key)
+            if node is None:
+                members = sec_in_prim.members(key[0])
+                node = -1
+                if len(members):
+                    center = self.gp.center(key[1])
+                    d2 = ((self.sec_pos[members] - center) ** 2).sum(axis=1)
+                    node = int(members[np.argmin(d2)])
+                int_dest[key] = node
+            if node < 0:
                 continue  # stays unservable, packets will be counted as drops
-            center = self.gp.center(path[-1])
-            d2 = ((self.sec_pos[members] - center) ** 2).sum(axis=1)
-            node = int(members[np.argmin(d2)])
             self.pair_int_dest[i] = node
             self.pair_int_dest_cell[i] = dep.secondary_cells[node]
 
@@ -244,26 +259,25 @@ class TransportSim:
         occupied = np.flatnonzero(self._src_counts > 0)
         self.phase_cells: list[np.ndarray] = []
         self.phase_regions: list[list[Region]] = []
-        self.phase_rects: list[list[tuple[int, int, int, int]]] = []
+        # blocked[phase]: secondary cells silenced by that phase's preservation regions
+        self.blocked = np.zeros((TICKS, self.gs.cell_count), dtype=bool)
         for phase in range(TICKS):
             cells = occupied[self.sigma_p[occupied] == phase]
             regions = preservation_regions(cells, self.gp, self.gs)
             self.phase_cells.append(cells)
             self.phase_regions.append(regions)
-            self.phase_rects.append([r.secondary_rect() for r in regions])
+            self.blocked[phase] = blocked_secondary_cells(regions, self.gs)
+        # relay-holding cells sorted by tick (cell order within a tick), with
+        # their relays' positions: the audit's candidate transmitters
         by_tick = np.argsort(self.sigma_s, kind="stable")
-        bounds = np.searchsorted(self.sigma_s[by_tick], np.arange(TICKS + 1))
-        self.cells_by_tick = [by_tick[bounds[t] : bounds[t + 1]] for t in range(TICKS)]
+        self.relay_cells = by_tick[self.sec_relay[by_tick] >= 0]
+        self.relay_tx_pos = self.sec_pos[self.sec_relay[self.relay_cells]]
+        self.relay_tick_bounds = np.searchsorted(
+            self.sigma_s[self.relay_cells], np.arange(TICKS + 1))
+        self.relay_row = np.full(self.gs.cell_count, -1, dtype=np.int64)
+        self.relay_row[self.relay_cells] = np.arange(len(self.relay_cells))
 
     # ======== per-frame mechanics ========
-
-    def _blocked(self, cells: np.ndarray, rects) -> np.ndarray:
-        cx = cells // self.k_s
-        cy = cells % self.k_s
-        out = np.zeros(cells.shape, dtype=bool)
-        for x0, x1, y0, y1 in rects:
-            out |= (cx >= x0) & (cx <= x1) & (cy >= y0) & (cy <= y1)
-        return out
 
     def _log_tx(self, t: int, cells) -> None:
         if not (0 < self.opt.log_tx_frames and
@@ -350,35 +364,34 @@ class TransportSim:
         self.cnt += 1
         self.injected_s += self.n_sampled
 
-    def _advance_secondary(self, t: int, rects) -> list:
+    def _advance_secondary(self, t: int, blocked: np.ndarray) -> tuple:
         """Subframe 1: one hop per unblocked cell per path, eldest packet first."""
         if self.n_sampled == 0:
-            return []
+            return NO_HOPS
         pos = self.pos2
         occ = pos >= 0
         idx = self.path_off[:, None] + np.clip(pos, 0, None)
         cells = self.path_flat[idx]
         lead = occ.copy()
         lead[:, 1:] &= pos[:, 1:] != pos[:, :-1]
-        blocked = self._blocked(cells, rects) if rects else np.zeros_like(lead)
-        move = lead & ~blocked
+        move = lead & ~blocked[cells]
         prev_cells = cells[:, 0].copy()
         pos += move
         self._log_tx(t, cells[move])
 
-        moved_hops = []
+        moved_hops = NO_HOPS
         if self._in_audit(t) and self.opt.audit_hops_per_frame:
-            rows, cols = np.nonzero(move)
-            for j in range(min(len(rows), self.opt.audit_hops_per_frame)):
-                r, c = int(rows[j]), int(cols[j])
-                newpos = int(pos[r, c])
-                prev = int(self.path_flat[self.path_off[r] + newpos - 1])
-                new = int(self.path_flat[self.path_off[r] + newpos])
-                tx = (self.sec_pos[self.s_src[r]] if newpos == 1
-                      else self.sec_pos[self.sec_relay[prev]])
-                rx = (self.sec_pos[self.s_dst[r]] if newpos == self.plen[r] - 1
-                      else self.sec_pos[self.sec_relay[new]])
-                moved_hops.append((tx, rx, prev))
+            first = np.flatnonzero(move)[: self.opt.audit_hops_per_frame]
+            rows, cols = np.divmod(first, move.shape[1])
+            newpos = pos[rows, cols]
+            at = self.path_off[rows] + newpos
+            prev = self.path_flat[at - 1]
+            new = self.path_flat[at]
+            tx = np.where((newpos == 1)[:, None], self.sec_pos[self.s_src[rows]],
+                          self.sec_pos[self.sec_relay[prev]])
+            rx = np.where((newpos == self.plen[rows] - 1)[:, None],
+                          self.sec_pos[self.s_dst[rows]], self.sec_pos[self.sec_relay[new]])
+            moved_hops = (tx, rx, prev)
 
         done = occ[:, 0] & (pos[:, 0] == self.plen - 1)
         rows = np.flatnonzero(done)
@@ -408,9 +421,10 @@ class TransportSim:
         b.ready_frame = t + 1  # joins the delivery roster next frame
         self.pending.append(b)
 
-    def _advance_bundles(self, t: int, rects) -> list:
+    def _advance_bundles(self, t: int, blocked: np.ndarray) -> tuple:
         """Subframe 2: bundles hop atomically, one bundle per cell per pair."""
-        moved = []
+        audit = self._in_audit(t)
+        tx, rx, sent = [], [], []
         still: list[SegmentBundle] = []
         taken: set[tuple[int, int]] = set()
         for b in self.bundles:
@@ -419,7 +433,7 @@ class TransportSim:
                 continue
             cell = int(b.path[b.pos])
             key = (cell, b.pair)
-            if key in taken or (rects and self._blocked(np.array([cell]), rects)[0]):
+            if key in taken or blocked[cell]:
                 still.append(b)
                 continue
             taken.add(key)
@@ -428,17 +442,19 @@ class TransportSim:
                 b.hops_log.append(t)
             self._log_tx(t, cell)
             new_cell = int(b.path[b.pos])
-            if self._in_audit(t):
-                tx = b.lead_pos if b.pos == 1 else self.sec_pos[self.sec_relay[cell]]
-                rx = (self.sec_pos[b.int_dest] if b.pos == len(b.path) - 1
-                      else self.sec_pos[self.sec_relay[new_cell]])
-                moved.append((tx, rx, cell))
+            if audit:
+                tx.append(b.lead_pos if b.pos == 1 else self.sec_pos[self.sec_relay[cell]])
+                rx.append(self.sec_pos[b.int_dest] if b.pos == len(b.path) - 1
+                          else self.sec_pos[self.sec_relay[new_cell]])
+                sent.append(cell)
             if b.pos == len(b.path) - 1:
                 self._bundle_arrived(b, t, cell)
             else:
                 still.append(b)
         self.bundles = still
-        return moved
+        if not sent:
+            return NO_HOPS
+        return np.array(tx), np.array(rx), np.array(sent, dtype=np.int64)
 
     def _deliver(self, t: int, regions) -> list:
         """Subframe 3: greedy disjoint collection regions, one packet per sink node."""
@@ -489,39 +505,17 @@ class TransportSim:
 
     # ======== SINR audit ========
 
-    def _tick_sets(self, phase: int) -> list:
-        """Structural transmitter positions per tick: every unblocked active cell."""
-        cached = self._audit_cache.get(phase)
-        if cached is not None:
-            return cached
-        rects = self.phase_rects[phase]
-        sets = []
-        for tick in range(TICKS):
-            cells = self.cells_by_tick[tick]
-            cells = cells[self.sec_relay[cells] >= 0]
-            if rects:
-                cells = cells[~self._blocked(cells, rects)]
-            sets.append((cells, self.sec_pos[self.sec_relay[cells]]))
-        self._audit_cache[phase] = sets
-        return sets
-
     def _audit_frame(self, t, broadcasts, hops, deliveries) -> None:
-        if not self._in_audit(t):
-            return
         noise, alpha = self.cfg.noise, self.cfg.alpha
-        sets = self._tick_sets(t % TICKS)
+        # structural transmitters: the relay_cells rows this phase leaves
+        # unblocked, one run per tick
+        live = ~self.blocked[t % TICKS][self.relay_cells]
+        live_rows = np.flatnonzero(live)
+        bounds = np.searchsorted(live_rows, self.relay_tick_bounds)
         bc_pos = np.array([b[0] for b in broadcasts]).reshape(-1, 2)
         deliv_tx = np.array([d[0] for d in deliveries]).reshape(-1, 2)
 
-        for tx, rx, prev_cell in hops:
-            cells, pos = sets[int(self.sigma_s[prev_cell])]
-            keep = cells != prev_cell
-            int_pos = np.vstack([pos[keep], bc_pos])
-            int_pow = np.concatenate([
-                np.full(int(keep.sum()), self.p_s), np.full(len(bc_pos), self.p_p)])
-            s = phy.sinr_at(rx[None, :], np.asarray(tx, dtype=float), self.p_s,
-                            int_pos, int_pow, noise, alpha)
-            self.report.record("secondary", s)
+        self._audit_hops(hops, live, live_rows, bounds, bc_pos)
 
         sink_of = np.array([d[2] for d in deliveries], dtype=np.int64)
         for tx_int_dest, rx_dst, sink in deliveries:
@@ -544,10 +538,10 @@ class TransportSim:
             other_bc = np.delete(bc_pos, j, axis=0)
             worst = np.full(len(rx), np.inf)
             for tick in range(TICKS):
-                _cells, pos = sets[tick]
-                int_pos = np.vstack([pos, other_bc])
+                rows = live_rows[bounds[tick] : bounds[tick + 1]]
+                int_pos = np.vstack([np.take(self.relay_tx_pos, rows, axis=0), other_bc])
                 int_pow = np.concatenate([
-                    np.full(len(pos), self.p_s), np.full(len(other_bc), self.p_p)])
+                    np.full(len(rows), self.p_s), np.full(len(other_bc), self.p_p)])
                 s = phy.sinr_at(rx, np.asarray(src_pos, dtype=float), self.p_p,
                                 int_pos, int_pow, noise, alpha)
                 worst = np.minimum(worst, s)
@@ -559,19 +553,52 @@ class TransportSim:
             worst = np.minimum(worst, s)
             self.report.record(category, worst)
 
+    def _audit_hops(self, hops, live, live_rows, bounds, bc_pos) -> None:
+        """Every secondary hop against its tick's other live cells and the broadcasts.
+
+        A hop's interferer row is its tick's run of live relay_cells rows
+        without its own cell, then bc_pos. Rows of one length go to
+        phy.sinr_at as one batch: equal-length contiguous rows keep each
+        row's sum bit-identical to a one-row call, which padding or
+        segmented sums would not.
+        """
+        tx, rx, cells = hops
+        if not len(cells):
+            return
+        tick = self.sigma_s[cells]
+        start = bounds[tick]
+        row = self.relay_row[cells]
+        own = live[row] & (row >= 0)
+        n_live = bounds[tick + 1] - start - own
+        # offset of the hop's own cell inside its tick's run; past the run if absent
+        skip = np.where(own, np.searchsorted(live_rows, row) - start, n_live)
+        bc_pow = np.full(len(bc_pos), self.p_p)
+        for width in np.unique(n_live):
+            g = np.flatnonzero(n_live == width)
+            j = np.arange(width)
+            rows = live_rows[start[g, None] + j + (j >= skip[g, None])]
+            int_pos = np.concatenate([np.take(self.relay_tx_pos, rows, axis=0),
+                                      np.broadcast_to(bc_pos, (len(g), *bc_pos.shape))],
+                                     axis=1)
+            int_pow = np.concatenate([np.full(width, self.p_s), bc_pow])
+            s = phy.sinr_at(rx[g], tx[g], self.p_s, int_pos, int_pow,
+                            self.cfg.noise, self.cfg.alpha)
+            self.report.record("secondary", s)
+
     # ======== driver ========
 
     def step(self) -> None:
         t = self.frame
         phase = t % TICKS
-        regions = self.phase_regions[phase]
-        rects = self.phase_rects[phase]
+        blocked = self.blocked[phase]
         broadcasts = self._broadcast(t)
         self._inject(t)
-        hops = self._advance_secondary(t, rects)
-        bundle_hops = self._advance_bundles(t, rects)
-        deliveries = self._deliver(t, regions)
-        self._audit_frame(t, broadcasts, hops + bundle_hops, deliveries)
+        hops = self._advance_secondary(t, blocked)
+        bundle_hops = self._advance_bundles(t, blocked)
+        deliveries = self._deliver(t, self.phase_regions[phase])
+        if self._in_audit(t):
+            hops = tuple(np.concatenate(h) for h in zip(hops, bundle_hops))
+            self._audit_frame(t, broadcasts, hops, deliveries)
         alive_s = int(self.cnt.sum())
         assert self.injected_s == self.delivered_s + alive_s
         assert self.injected_p == (self.delivered_direct + self.delivered_carried

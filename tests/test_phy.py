@@ -166,6 +166,55 @@ def test_interference_at_colocation_guard():
         interference_at(rx, np.array([[0.5, 0.5]]), np.ones(1), 4.0)
 
 
+@pytest.mark.parametrize("width", [3, 40, 300])
+def test_batched_rows_equal_one_row_calls(width):
+    rng = np.random.default_rng(width)
+    r = 12
+    rx = rng.random((r, 2))
+    tx = rng.random((r, 2))
+    pool = rng.random((width + 1, 2))
+    power = rng.uniform(0.5, 2.0, width + 1)
+    # each receiver's row is the pool without that receiver's own cell
+    own = rng.integers(0, width + 1, r)
+    rows = np.array([np.delete(np.arange(width + 1), o) for o in own])
+    batch = sinr_at(rx, tx, 1.5, pool[rows], power[rows], 0.5, 4.0)
+    loop = [sinr_at(rx[i : i + 1], tx[i], 1.5, pool[rows[i]], power[rows[i]], 0.5, 4.0)[0]
+            for i in range(r)]
+    assert np.array_equal(batch, np.array(loop))
+    for i in range(r):
+        link = LinkSample(
+            tx_pos=tuple(tx[i]),
+            rx_pos=tuple(rx[i]),
+            tx_power=1.5,
+            interferers=tuple((tuple(pool[c]), power[c]) for c in rows[i]),
+            noise=0.5,
+        )
+        assert batch[i] == pytest.approx(sinr(link, 4.0), rel=1e-12)
+
+
+def test_shared_interferers_equal_repeated_rows():
+    rng = np.random.default_rng(5)
+    rx = rng.random((9, 2))
+    tx = rng.random(2)
+    ints = rng.random((150, 2))
+    powers = rng.uniform(0.5, 2.0, 150)
+    shared = sinr_at(rx, tx, 2.0, ints, powers, 1.0, 3.5)
+    per_row = sinr_at(rx, np.broadcast_to(tx, (9, 2)), 2.0,
+                      np.broadcast_to(ints, (9, 150, 2)),
+                      np.broadcast_to(powers, (9, 150)), 1.0, 3.5)
+    assert np.array_equal(shared, per_row)
+
+
+def test_batched_colocation_guards():
+    rx = np.array([[0.2, 0.2], [0.6, 0.6]])
+    tx = np.array([[0.1, 0.1], [0.3, 0.3]])
+    ints = np.array([[[0.9, 0.9]], [[0.6, 0.6]]])  # second row sits on its receiver
+    with pytest.raises(ValueError, match="interferer"):
+        sinr_at(rx, tx, 1.0, ints, np.ones((2, 1)), 1.0, 4.0)
+    with pytest.raises(ValueError, match="transmitter"):
+        sinr_at(rx, rx.copy(), 1.0, np.empty((2, 0, 2)), np.empty((2, 0)), 1.0, 4.0)
+
+
 # ======== rate and report ========
 
 

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audit_reference import ReferenceAuditSim
+
 from tiersim.deployment import ConfigurationError, SimConfig, build_deployment
+from tiersim.phy import RateReport
 from tiersim.routing import select_relays
 from tiersim.scheduler import make_region
 from tiersim.transport import (
+    TICKS,
     RunOptions,
     SegmentBundle,
     TransportSim,
@@ -19,12 +23,12 @@ from tiersim.transport import (
 )
 
 
-def make_sim(n=100.0, seed=0, frames=96, warmup=32, **opts):
+def make_sim(n=100.0, seed=0, frames=96, warmup=32, sim_class=TransportSim, **opts):
     cfg = SimConfig(n=n, frames=frames, warmup_frames=warmup, seed=seed)
     dep = build_deployment(cfg)
     gens = np.random.default_rng(seed).spawn(4)
     relays = select_relays(dep, gens[2])
-    return TransportSim(dep, relays, RunOptions(**opts), gens[3])
+    return sim_class(dep, relays, RunOptions(**opts), gens[3])
 
 
 # ======== segmentation count and gap helpers ========
@@ -197,6 +201,11 @@ def test_dropped_when_no_interior_destination():
 # ======== crafted single-subframe steps ========
 
 
+def open_cells(sim):
+    """A blocked-cell mask that blocks nothing."""
+    return np.zeros(sim.gs.cell_count, dtype=bool)
+
+
 def clear_secondary(sim):
     sim.pos2[:] = -1
     sim.birth2[:] = -1
@@ -218,7 +227,7 @@ def test_hop_count_equals_path_length_minus_one():
     sim.cnt[row] = 1
     hops = 0
     while sim.delivered_s == 0:
-        sim._advance_secondary(hops, [])
+        sim._advance_secondary(hops, open_cells(sim))
         hops += 1
         assert hops <= plen
     assert hops == plen - 1
@@ -239,13 +248,13 @@ def test_eldest_packet_moves_first():
     last_cell = int(sim.path_flat[sim.path_off[row] + plen - 2])
     sigma = int(sim.sigma_s[last_cell])
 
-    sim._advance_secondary(5, [])
+    sim._advance_secondary(5, open_cells(sim))
     assert sim.delivered_s == 1
     # queue shifted left: the younger packet is now the head, still unmoved
     assert sim.pos2[row, 0] == plen - 2
     assert sim.birth2[row, 0] == 20
 
-    sim._advance_secondary(6, [])
+    sim._advance_secondary(6, open_cells(sim))
     assert sim.delivered_s == 2
     first = (64 * 5 + sigma + 1) - 10
     second = (64 * 6 + sigma + 1) - 20
@@ -259,13 +268,13 @@ def test_preservation_rect_freezes_traffic():
     sim.pos2[row, 0] = 0
     sim.birth2[row, 0] = 0
     sim.cnt[row] = 1
-    everything = [(0, sim.k_s - 1, 0, sim.k_s - 1)]
+    everything = np.ones(sim.gs.cell_count, dtype=bool)
     for t in range(20):
         sim._advance_secondary(t, everything)
     # a blanket blocked region starves the path; the packet queues, honestly
     assert sim.pos2[row, 0] == 0
     assert sim.delivered_s == 0
-    sim._advance_secondary(20, [])
+    sim._advance_secondary(20, open_cells(sim))
     assert sim.pos2[row, 0] == 1
 
 
@@ -297,13 +306,13 @@ def test_one_bundle_per_cell_per_pair():
     first = craft_bundle(sim, pair, path, born=0)
     second = craft_bundle(sim, pair, path, born=0)
     sim.bundles = [first, second]
-    sim._advance_bundles(1, [])
+    sim._advance_bundles(1, open_cells(sim))
     assert (first.pos, second.pos) == (1, 0)
     # different pair on the same cells is not contended
     other_pair = carried_pairs(sim, 2)[1]
     third = craft_bundle(sim, other_pair, path, born=0)
     sim.bundles.append(third)
-    sim._advance_bundles(2, [])
+    sim._advance_bundles(2, open_cells(sim))
     assert (first.pos, second.pos, third.pos) == (2, 1, 1)
 
 
@@ -312,9 +321,9 @@ def test_fresh_bundle_waits_out_its_broadcast_frame():
     (pair,) = carried_pairs(sim, 1)
     bundle = craft_bundle(sim, pair, [0, 1, 2], born=7)
     sim.bundles = [bundle]
-    sim._advance_bundles(7, [])
+    sim._advance_bundles(7, open_cells(sim))
     assert bundle.pos == 0
-    sim._advance_bundles(8, [])
+    sim._advance_bundles(8, open_cells(sim))
     assert bundle.pos == 1
 
 
@@ -323,7 +332,7 @@ def test_arrival_joins_roster_next_frame():
     (pair,) = carried_pairs(sim, 1)
     bundle = craft_bundle(sim, pair, [0, 1], born=0)
     sim.bundles = [bundle]
-    sim._advance_bundles(3, [])
+    sim._advance_bundles(3, open_cells(sim))
     assert sim.bundles == []
     assert sim.pending == [bundle]
     assert bundle.arrival_frame == 3
@@ -385,3 +394,46 @@ def test_delivery_defers_to_preservation_regions():
     assert sim._deliver(3, [hold]) == []
     assert sim.pending == [bundle]
     assert len(sim._deliver(4, [])) == 1
+
+
+# ======== preservation masks and the batched audit ========
+
+
+@pytest.mark.parametrize("n, k_p", [(40.0, 2), (900.0, 8)])
+def test_phase_mask_is_union_of_preservation_regions(n, k_p):
+    sim = make_sim(n=n, sample_pairs=8)
+    assert sim.k_p == k_p
+    assert sim.blocked.shape == (TICKS, sim.gs.cell_count)
+    assert any(sim.phase_regions)
+    for phase in range(TICKS):
+        union = np.zeros(sim.gs.cell_count, dtype=bool)
+        for region in sim.phase_regions[phase]:
+            union[region.secondary_cells(sim.k_s)] = True
+        assert np.array_equal(sim.blocked[phase], union)
+
+
+class ValueLog(RateReport):
+    """A RateReport that also keeps every recorded SINR value."""
+
+    def __init__(self):
+        super().__init__()
+        self.values = {cat: [] for cat in self.samples}
+
+    def record(self, category, sinr_values):
+        super().record(category, sinr_values)
+        self.values[category].extend(np.asarray(sinr_values).tolist())
+
+
+def test_batched_audit_equals_per_hop_reference():
+    runs = [make_sim(n=128.0, seed=3, frames=96, warmup=16, sim_class=cls)
+            for cls in (TransportSim, ReferenceAuditSim)]
+    for sim in runs:
+        sim.report = ValueLog()
+        sim.run()
+    batched, reference = (sim.report for sim in runs)
+    assert all(count > 0 for count in reference.samples.values())
+    assert batched.samples == reference.samples
+    assert batched.min_sinr == reference.min_sinr
+    # the minima hide single hops, so every audited value must match too
+    for cat, values in reference.values.items():
+        assert sorted(batched.values[cat]) == sorted(values)
