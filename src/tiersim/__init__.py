@@ -13,35 +13,27 @@ from .deployment import (
     CellGrid,
     ConfigurationError,
     Deployment,
-    Node,
     OccupancyReport,
     SimConfig,
     build_deployment,
     cell_occupancy,
     pair_sd,
     primary_cell_area,
+    rng_streams,
     sample_ppp,
     secondary_cell_area,
 )
-from .routing import (
-    CellPath,
-    RelayAssignment,
-    hv_path,
-    hv_path_cells,
-    path_load_census,
-    paths_through_cell,
-    select_relays,
-)
+from .routing import RelayAssignment, hv_path_cells, path_load_census, select_relays
 from .scheduler import (
+    TICKS,
     Region,
-    active_cells,
     blocked_secondary_cells,
     make_region,
     place_collection_regions,
     preservation_regions,
     slot_offsets,
 )
-from .phy import LinkSample, RateReport, pathloss, rate_of, sinr, tx_power
+from .phy import RateReport, sinr_at, tx_power
 from .transport import (
     PacketRecord,
     RunOptions,
@@ -61,6 +53,7 @@ from .harness import (
     fit_line,
     format_fit_report,
     planted_results,
+    prepare,
     run_point,
     run_sweep,
     sweep_configs,

@@ -22,11 +22,12 @@ from .harness import (
 )
 from .transport import RunOptions
 
-# keys accepted in a --config file; mirrors the plan and model config fields
-CONFIG_KEYS = {
-    "n", "beta", "alpha", "power_const", "noise", "ap_scale",
-    "seeds", "seed0", "frames", "warmup", "warmup_frames",
-}
+# keys accepted in a --config file and by the flags of the same name: the
+# grids (one value or a list) and the scalar SweepPlan fields with their types
+GRID_KEYS = {"n": "n_values", "ap_scale": "ap_scale_values"}
+PLAN_KEYS = {"beta": float, "alpha": float, "power_const": float, "noise": float,
+             "seeds": int, "seed0": int, "frames": int, "warmup": int}
+CONFIG_KEYS = GRID_KEYS.keys() | PLAN_KEYS.keys()
 
 
 def _float_list(values) -> tuple:
@@ -76,36 +77,19 @@ def _load_config(path: str) -> dict:
 
 
 def _plan_from(args, cfg: dict) -> SweepPlan:
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in cfg:
-            return cfg[key]
-        return default
-
-    n_values = args.n and _float_list(args.n)
-    if not n_values:
-        raw = cfg.get("n", (64, 128, 256, 512, 1024))
-        n_values = _float_list(raw if isinstance(raw, (list, tuple)) else [raw])
-    ap = args.ap_scale and _float_list(args.ap_scale)
-    if not ap:
-        raw = cfg.get("ap_scale", (1.0,))
-        ap = _float_list(raw if isinstance(raw, (list, tuple)) else [raw])
-    warmup = pick(args.warmup, "warmup", None)
-    if warmup is None:
-        warmup = cfg.get("warmup_frames", 256)
-    return SweepPlan(
-        n_values=n_values,
-        ap_scale_values=ap,
-        beta=float(pick(args.beta, "beta", 2.0)),
-        alpha=float(pick(args.alpha, "alpha", 4.0)),
-        power_const=float(cfg.get("power_const", 1.0)),
-        noise=float(cfg.get("noise", 1.0)),
-        seeds=int(pick(args.seeds, "seeds", 5)),
-        seed0=int(pick(args.seed0, "seed0", 0)),
-        frames=int(pick(args.frames, "frames", 1024)),
-        warmup=int(warmup),
-    )
+    """The plan from flags over config keys; SweepPlan defaults fill the rest."""
+    fields = {}
+    for key, name in GRID_KEYS.items():
+        raw = getattr(args, key) or cfg.get(key)
+        if raw is not None:
+            fields[name] = _float_list(raw if isinstance(raw, (list, tuple)) else [raw])
+    for key, kind in PLAN_KEYS.items():
+        raw = getattr(args, key, None)
+        if raw is None:
+            raw = cfg.get(key)
+        if raw is not None:
+            fields[key] = kind(raw)
+    return SweepPlan(**fields)
 
 
 def _write_trace(records, path: str) -> None:
@@ -134,12 +118,9 @@ def main(argv=None) -> int:
             results.append(r)
             if r.records:
                 records.extend(r.records)
-        report = check_theorems(
-            results,
-            tolerance_slope=(args.tolerance_slope
-                             if args.tolerance_slope is not None else 0.15),
-            tolerance_const=(args.tolerance_const
-                             if args.tolerance_const is not None else 2.0))
+        tolerances = {k: getattr(args, k) for k in ("tolerance_slope", "tolerance_const")
+                      if getattr(args, k) is not None}
+        report = check_theorems(results, **tolerances)
         out = args.out or "results.csv"
         fmt = args.format or "csv"
         emit(results, report, fmt, out)

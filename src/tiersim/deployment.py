@@ -18,7 +18,6 @@ __all__ = [
     "ConfigurationError",
     "SimConfig",
     "CellGrid",
-    "Node",
     "Deployment",
     "OccupancyReport",
     "sample_ppp",
@@ -26,6 +25,7 @@ __all__ = [
     "secondary_cell_area",
     "pair_sd",
     "cell_occupancy",
+    "rng_streams",
     "build_deployment",
 ]
 
@@ -89,7 +89,6 @@ class CellGrid:
     """
 
     side_count: int
-    tier: str
 
     def __post_init__(self) -> None:
         if self.side_count < 1:
@@ -108,10 +107,6 @@ class CellGrid:
         k = self.side_count
         ij = np.minimum((positions * k).astype(np.int64), k - 1)
         return ij[:, 0] * k + ij[:, 1]
-
-    def coords(self, cells: np.ndarray | int):
-        """(cx, cy) for flat cell indices."""
-        return np.divmod(cells, self.side_count)
 
     def center(self, cell: int) -> tuple[float, float]:
         cx, cy = divmod(cell, self.side_count)
@@ -143,7 +138,7 @@ def primary_cell_area(n: float, ap_scale: float = 1.0) -> tuple[float, CellGrid]
             raise ConfigurationError(
                 f"n={n} admits only {k} cell(s) per side; need at least 2"
             )
-    return target, CellGrid(side_count=k, tier=PRIMARY)
+    return target, CellGrid(side_count=k)
 
 
 def secondary_cell_area(n: float, beta: float, a_p: float) -> tuple[float, CellGrid]:
@@ -165,20 +160,10 @@ def secondary_cell_area(n: float, beta: float, a_p: float) -> tuple[float, CellG
         raise ConfigurationError(
             "secondary cells would be coarser than primary cells"
         )
-    return target, CellGrid(side_count=q * k_p, tier=SECONDARY)
+    return target, CellGrid(side_count=q * k_p)
 
 
 # ======== nodes ========
-
-
-@dataclass(frozen=True)
-class Node:
-    """On-demand view of one deployed radio (storage is array-based)."""
-
-    id: int
-    tier: str
-    position: tuple[float, float]
-    sd_peer: int | None = None
 
 
 def sample_ppp(density: float, seed) -> np.ndarray:
@@ -209,15 +194,6 @@ def pair_sd(count: int, seed) -> np.ndarray:
     return np.stack([perm[:half], perm[half : 2 * half]], axis=1)
 
 
-def peer_array(count: int, pairs: np.ndarray) -> np.ndarray:
-    """Symmetric peer map: peer[src]=dst and peer[dst]=src, -1 if unpaired."""
-    peer = np.full(count, -1, dtype=np.int64)
-    if len(pairs):
-        peer[pairs[:, 0]] = pairs[:, 1]
-        peer[pairs[:, 1]] = pairs[:, 0]
-    return peer
-
-
 # ======== deployment ========
 
 
@@ -225,7 +201,6 @@ class CellIndex:
     """Sorted-order lookup of node ids per cell for one grid."""
 
     def __init__(self, cells: np.ndarray, cell_count: int):
-        self.cells = cells
         self.counts = np.bincount(cells, minlength=cell_count)
         self.order = np.argsort(cells, kind="stable")
         self.starts = np.concatenate([[0], np.cumsum(self.counts)])
@@ -241,14 +216,10 @@ class Deployment:
     config: SimConfig
     primary_grid: CellGrid
     secondary_grid: CellGrid
-    primary_target: float
-    secondary_target: float
     primary_pos: np.ndarray
     secondary_pos: np.ndarray
     primary_pairs: np.ndarray
     secondary_pairs: np.ndarray
-    primary_peer: np.ndarray = field(repr=False, default=None)
-    secondary_peer: np.ndarray = field(repr=False, default=None)
     # flat cell index per node, on each grid that matters for its tier
     primary_cells: np.ndarray = field(repr=False, default=None)
     secondary_cells_primary_grid: np.ndarray = field(repr=False, default=None)
@@ -256,21 +227,6 @@ class Deployment:
     primary_index: CellIndex = field(repr=False, default=None)
     secondary_index: CellIndex = field(repr=False, default=None)
     secondary_index_primary_grid: CellIndex = field(repr=False, default=None)
-
-    @property
-    def refinement(self) -> int:
-        return self.secondary_grid.side_count // self.primary_grid.side_count
-
-    def node(self, tier: str, node_id: int) -> Node:
-        pos = self.primary_pos if tier == PRIMARY else self.secondary_pos
-        peer = self.primary_peer if tier == PRIMARY else self.secondary_peer
-        p = int(peer[node_id])
-        return Node(
-            id=node_id,
-            tier=tier,
-            position=(float(pos[node_id, 0]), float(pos[node_id, 1])),
-            sd_peer=None if p < 0 else p,
-        )
 
 
 @dataclass(frozen=True)
@@ -285,19 +241,25 @@ class OccupancyReport:
     any_cell_below_relay_count: bool
 
 
+def rng_streams(seed: int) -> list[np.random.Generator]:
+    """A run's four independent streams: deployment, pairing, relays, transport.
+
+    Every number of a run is drawn from one of these, so their order fixes
+    the run at a given seed.
+    """
+    return np.random.default_rng(seed).spawn(4)
+
+
 def build_deployment(config: SimConfig) -> Deployment:
     """Sample both tiers, build both grids, and pair sources with sinks.
 
-    Deterministic in config.seed: the generator is spawned into independent
-    streams for deployment, pairing, relay choice, and transport, in that
-    fixed order.
+    Deterministic in config.seed: positions come from the deployment stream
+    and pairs from the pairing stream of rng_streams.
     """
-    g_deploy, g_pairs, _g_relays, _g_transport = np.random.default_rng(
-        config.seed
-    ).spawn(4)
+    g_deploy, g_pairs, _, _ = rng_streams(config.seed)
 
-    p_target, p_grid = primary_cell_area(config.n, config.ap_scale)
-    s_target, s_grid = secondary_cell_area(config.n, config.beta, p_grid.cell_area)
+    _, p_grid = primary_cell_area(config.n, config.ap_scale)
+    _, s_grid = secondary_cell_area(config.n, config.beta, p_grid.cell_area)
 
     primary_pos = sample_ppp(config.n, g_deploy)
     secondary_pos = sample_ppp(config.m, g_deploy)
@@ -313,14 +275,10 @@ def build_deployment(config: SimConfig) -> Deployment:
         config=config,
         primary_grid=p_grid,
         secondary_grid=s_grid,
-        primary_target=p_target,
-        secondary_target=s_target,
         primary_pos=primary_pos,
         secondary_pos=secondary_pos,
         primary_pairs=primary_pairs,
         secondary_pairs=secondary_pairs,
-        primary_peer=peer_array(len(primary_pos), primary_pairs),
-        secondary_peer=peer_array(len(secondary_pos), secondary_pairs),
         primary_cells=primary_cells,
         secondary_cells_primary_grid=sec_on_primary,
         secondary_cells=secondary_cells,

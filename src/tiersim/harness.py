@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .deployment import SimConfig, build_deployment, cell_occupancy
+from .deployment import SimConfig, build_deployment, cell_occupancy, rng_streams
 from .routing import select_relays
+from .scheduler import TICKS
 from .transport import RunOptions, TransportSim, relay_count
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "ConstancyResult",
     "LinearFit",
     "FitReport",
+    "prepare",
     "run_point",
     "run_sweep",
     "sweep_configs",
@@ -41,12 +43,16 @@ __all__ = [
     "format_fit_report",
 ]
 
-CSV_COLUMNS = (
-    "n", "beta", "m", "a_p", "a_s", "k_p", "k_s", "N",
-    "lambda_p", "T_p", "D_p", "lambda_s", "T_s", "D_s",
-    "min_sinr_primary", "min_sinr_delivery", "min_sinr_secondary",
-    "drop_rate", "valid", "seed",
-)
+# the emitted result columns, in order, with the type each is written as
+COLUMN_TYPES = {
+    "n": float, "beta": float, "m": float, "a_p": float, "a_s": float,
+    "k_p": int, "k_s": int, "N": int,
+    "lambda_p": float, "T_p": float, "D_p": float,
+    "lambda_s": float, "T_s": float, "D_s": float,
+    "min_sinr_primary": float, "min_sinr_delivery": float, "min_sinr_secondary": float,
+    "drop_rate": float, "valid": bool, "seed": int,
+}
+CSV_COLUMNS = tuple(COLUMN_TYPES)
 
 WIDE_SPAN_DECADES = 1.5  # fits on a narrower abscissa are flagged, not refused
 
@@ -86,24 +92,20 @@ class ExperimentResult:
     extras: dict = field(default_factory=dict)
     records: list | None = None
 
+    def columns(self) -> dict:
+        """The emitted columns, each converted to its COLUMN_TYPES type."""
+        return {name: kind(getattr(self, name)) for name, kind in COLUMN_TYPES.items()}
+
     def csv_row(self) -> list:
-        out = []
-        for name in CSV_COLUMNS:
-            v = getattr(self, name)
-            if name == "valid":
-                out.append("true" if v else "false")
-            elif isinstance(v, (int, np.integer)):
-                out.append(str(int(v)))
-            else:
-                out.append(repr(float(v)))
-        return out
+        return [str(v).lower() if isinstance(v, bool) else str(v)
+                for v in self.columns().values()]
 
 
 @dataclass(frozen=True)
 class SweepPlan:
     """Grid of run points; the cross product of n values and ap scales."""
 
-    n_values: tuple
+    n_values: tuple = (64.0, 128.0, 256.0, 512.0, 1024.0)
     ap_scale_values: tuple = (1.0,)
     beta: float = 2.0
     alpha: float = 4.0
@@ -142,38 +144,42 @@ def sweep_configs(plan: SweepPlan) -> list[SimConfig]:
     return out
 
 
-def run_point(config: SimConfig, options: RunOptions | None = None) -> ExperimentResult:
-    """Build deployment and relays, run the transport frames, measure."""
-    options = options or RunOptions()
+def prepare(config: SimConfig, options: RunOptions | None = None) -> TransportSim:
+    """Assemble one run: deployment, relays, occupancy and the transport sim.
+
+    Relays come from the relay stream of rng_streams and the sim runs on the
+    transport stream. The sim keeps the occupancy report as sim.occupancy.
+    """
+    _, _, g_relays, g_transport = rng_streams(config.seed)
     dep = build_deployment(config)
-    gens = np.random.default_rng(config.seed).spawn(4)
-    relays = select_relays(dep, gens[2])
-    n_seg = relay_count(config.m)
-    occ = cell_occupancy(dep, n_seg)
-    sim = TransportSim(dep, relays, options, gens[3])
+    relays = select_relays(dep, g_relays)
+    sim = TransportSim(dep, relays, options or RunOptions(), g_transport)
+    sim.occupancy = cell_occupancy(dep, sim.n_relays)
+    return sim
+
+
+def run_point(config: SimConfig, options: RunOptions | None = None) -> ExperimentResult:
+    """Assemble the run, step every frame, measure."""
+    sim = prepare(config, options)
     sim.run()
     met = sim.metrics()
+    dep, occ = sim.dep, sim.occupancy
     valid = met["drop_rate"] <= 0.01 and not occ.any_empty_primary_cell
-    extras = {
-        "delivered_secondary": met["delivered_secondary"],
-        "delivered_carried": met["delivered_carried"],
-        "delivered_direct": met["delivered_direct"],
-        "pending_wait": met["pending_wait"],
-        "census_max": met["census_max"],
-        "packet_size_factor": met["packet_size_factor"],
-        "segment_gap_within_frame": met["segment_gap_within_frame"],
-        "segment_gap_max": met["segment_gap_max"],
-        "audit_samples": met["audit_samples"],
-        "any_empty_primary_cell": occ.any_empty_primary_cell,
-        "any_empty_secondary_cell": occ.any_empty_secondary_cell,
-        "any_cell_below_relay_count": occ.any_cell_below_relay_count,
-        "occupied_primary_cells": int((occ.primary_per_primary_cell > 0).sum()),
-    }
+    extras = {k: met[k] for k in (
+        "delivered_secondary", "delivered_carried", "delivered_direct",
+        "pending_wait", "census_max", "packet_size_factor",
+        "segment_gap_within_frame", "segment_gap_max", "audit_samples")}
+    extras.update(
+        any_empty_primary_cell=occ.any_empty_primary_cell,
+        any_empty_secondary_cell=occ.any_empty_secondary_cell,
+        any_cell_below_relay_count=occ.any_cell_below_relay_count,
+        occupied_primary_cells=int((occ.primary_per_primary_cell > 0).sum()),
+    )
     return ExperimentResult(
         n=config.n, beta=config.beta, alpha=config.alpha, ap_scale=config.ap_scale,
         m=config.m, a_p=dep.primary_grid.cell_area, a_s=dep.secondary_grid.cell_area,
         k_p=dep.primary_grid.side_count, k_s=dep.secondary_grid.side_count,
-        N=n_seg,
+        N=sim.n_relays,
         lambda_p=met["lambda_p"], T_p=met["T_p"], D_p=met["D_p"],
         lambda_s=met["lambda_s"], T_s=met["T_s"], D_s=met["D_s"],
         min_sinr_primary=met["min_sinr_primary"],
@@ -183,9 +189,9 @@ def run_point(config: SimConfig, options: RunOptions | None = None) -> Experimen
         frames=config.frames, warmup=config.warmup_frames,
         pairs_p=sim.n_pairs_p, pairs_s=sim.n_pairs_s,
         low_confidence=met["low_confidence"],
-        capture_fraction=relays.secondary_capture_fraction,
+        capture_fraction=sim.relays.secondary_capture_fraction,
         extras=extras,
-        records=sim.records if options.collect_records else None,
+        records=sim.records if sim.opt.collect_records else None,
     )
 
 
@@ -399,13 +405,13 @@ def check_theorems(results, tolerance_slope: float = 0.15,
               if np.isfinite(g["D_s"]) and np.isfinite(g["D_p"])]
     if len(pd_pts) >= 3:
         slope, intercept, residual = fit_line(pd_pts)
-        lo, hi = 0.5 * 3 / 64, 2.0 * 3 / 64
+        lo, hi = 0.5 * 3 / TICKS, 2.0 * 3 / TICKS
         verdict = "pass" if lo <= slope <= hi else "fail"
         linear = LinearFit(slope, intercept, residual, len(pd_pts),
                            (lo, hi), verdict)
     else:
         linear = LinearFit(float("nan"), float("nan"), float("nan"),
-                           len(pd_pts), (0.5 * 3 / 64, 2.0 * 3 / 64),
+                           len(pd_pts), (0.5 * 3 / TICKS, 2.0 * 3 / TICKS),
                            "inconclusive")
 
     return FitReport(fits=fits, constancy=constancy, linear=linear,
@@ -459,21 +465,16 @@ def trace_packet(config: SimConfig, options: RunOptions | None = None) -> dict:
     roster wait, and handoff. The identity D_p = (3/64)*D_s_hat + C holds
     exactly by construction of the stamps.
     """
-    base = options or RunOptions()
-    options = replace(base, audit_frames=0, audit_broadcasts=0,
-                      audit_hops_per_frame=0, collect_records=True)
-    dep = build_deployment(config)
-    gens = np.random.default_rng(config.seed).spawn(4)
-    relays = select_relays(dep, gens[2])
-    sim = TransportSim(dep, relays, options, gens[3])
+    options = replace(options or RunOptions(), audit_frames=0, collect_records=True)
+    sim = prepare(config, options)
     sim.run()
     if not sim.delivered_bundles:
         raise RuntimeError("no carried primary packet was delivered; run longer")
     b = sim.delivered_bundles[0]
     d_p = 3 * (b.delivered_frame - b.born) + 2
     carry_frames = b.arrival_frame - b.born
-    d_s_hat = 64 * carry_frames
-    c = d_p - (3 / 64) * d_s_hat
+    d_s_hat = TICKS * carry_frames
+    c = d_p - (3 / TICKS) * d_s_hat
     return {
         "D_p": float(d_p),
         "D_s_hat": float(d_s_hat),
@@ -527,12 +528,7 @@ def emit(results, fit_report: FitReport | None, format: str, path: str) -> None:
                 fh.write(format_fit_report(fit_report) + "\n")
     elif format == "json":
         doc = {
-            "results": [
-                {c: (bool(getattr(r, c)) if c == "valid"
-                     else int(getattr(r, c)) if c in ("k_p", "k_s", "N", "seed")
-                     else float(getattr(r, c)))
-                 for c in CSV_COLUMNS}
-                for r in results],
+            "results": [r.columns() for r in results],
             "fit_report": fit_report.to_dict() if fit_report else None,
         }
         with open(path, "w") as fh:

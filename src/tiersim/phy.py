@@ -1,4 +1,4 @@
-"""Pathloss, transmit power, and SINR audit math.
+"""Transmit power and the vectorized SINR of the audit.
 
 Packet motion never depends on these numbers: the transport layer moves
 packets per schedule, and the audit runs alongside to verify that every
@@ -15,22 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "LinkSample",
     "RateReport",
-    "pathloss",
     "tx_power",
-    "sinr",
-    "rate_of",
     "interference_at",
     "sinr_at",
 ]
-
-
-def pathloss(r: float, alpha: float) -> float:
-    """Channel power gain r**(-alpha); co-located endpoints are rejected."""
-    if r <= 0:
-        raise ValueError("pathloss needs a positive distance")
-    return r ** (-alpha)
 
 
 def tx_power(cell_area: float, power_const: float, alpha: float) -> float:
@@ -42,37 +31,7 @@ def tx_power(cell_area: float, power_const: float, alpha: float) -> float:
     return power_const * cell_area ** (alpha / 2.0)
 
 
-@dataclass(frozen=True)
-class LinkSample:
-    """One receiver with its signal source and the concurrent interferer set."""
-
-    tx_pos: tuple[float, float]
-    rx_pos: tuple[float, float]
-    tx_power: float
-    interferers: tuple[tuple[tuple[float, float], float], ...] = ()
-    noise: float = 1.0
-
-
-def sinr(link: LinkSample, alpha: float) -> float:
-    """Signal over noise plus summed interference, all via the pathloss law."""
-    dx = link.tx_pos[0] - link.rx_pos[0]
-    dy = link.tx_pos[1] - link.rx_pos[1]
-    signal = link.tx_power * pathloss(math.hypot(dx, dy), alpha)
-    interference = 0.0
-    for pos, power in link.interferers:
-        d = math.hypot(pos[0] - link.rx_pos[0], pos[1] - link.rx_pos[1])
-        if d <= 0:
-            raise ValueError("interferer co-located with receiver")
-        interference += power * d ** (-alpha)
-    return signal / (link.noise + interference)
-
-
-def rate_of(s) -> float | np.ndarray:
-    """Normalized rate log2(1 + SINR), monotone in SINR."""
-    return np.log2(1.0 + np.asarray(s, dtype=float))
-
-
-# ======== vectorized audit helpers ========
+# ======== SINR ========
 
 
 def interference_at(
@@ -118,7 +77,7 @@ def sinr_at(
 
 @dataclass
 class RateReport:
-    """Running minima of audited SINR and rate per reception category.
+    """Running minima of audited SINR per reception category.
 
     Categories: 'primary' for broadcast receptions at relay nodes (the K1
     proxy), 'delivery' for sink-cell handoffs (the K2 proxy), 'secondary'
@@ -137,10 +96,6 @@ class RateReport:
             return
         self.min_sinr[category] = min(self.min_sinr[category], float(np.min(sinr_values)))
         self.samples[category] += int(len(sinr_values))
-
-    def min_rate(self, category: str) -> float:
-        s = self.min_sinr[category]
-        return float("nan") if math.isinf(s) else float(rate_of(s))
 
     def floor(self, category: str) -> float:
         s = self.min_sinr[category]

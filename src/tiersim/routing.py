@@ -11,32 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deployment import Deployment, CellGrid
+from .deployment import Deployment
 
 __all__ = [
-    "CellPath",
     "RelayAssignment",
-    "hv_path",
     "hv_path_cells",
     "select_relays",
-    "paths_through_cell",
     "path_load_census",
 ]
 
 
-@dataclass(frozen=True)
-class CellPath:
-    """Ordered flat cell indices from source cell to destination cell."""
-
-    cells: tuple[int, ...]
-    tier: str
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
 def hv_path_cells(src_cell: int, dst_cell: int, side_count: int) -> tuple[int, ...]:
-    """Flat cells of the horizontal-then-vertical path between two cells."""
+    """Flat cells of the horizontal-then-vertical path between two cells.
+
+    The path has |dcol| + |drow| + 1 cells, both end cells included.
+    """
     k = side_count
     sx, sy = divmod(src_cell, k)
     dx, dy = divmod(dst_cell, k)
@@ -45,14 +34,6 @@ def hv_path_cells(src_cell: int, dst_cell: int, side_count: int) -> tuple[int, .
     horiz = [x * k + sy for x in range(sx, dx + step_x, step_x)]
     vert = [dx * k + y for y in range(sy + step_y, dy + step_y, step_y)]
     return tuple(horiz + vert)
-
-
-def hv_path(src_cell: int, dst_cell: int, grid: CellGrid) -> CellPath:
-    """HV path on a grid; length is |dcol| + |drow| + 1 cells."""
-    k = grid.side_count
-    if not (0 <= src_cell < k * k and 0 <= dst_cell < k * k):
-        raise ValueError("cell index outside grid")
-    return CellPath(cells=hv_path_cells(src_cell, dst_cell, k), tier=grid.tier)
 
 
 # ======== designated relays ========
@@ -125,19 +106,12 @@ def select_relays(deployment: Deployment, seed) -> RelayAssignment:
 # ======== path load ========
 
 
-def paths_through_cell(pairs_cells: np.ndarray, grid: CellGrid) -> np.ndarray:
+def path_load_census(pairs_cells: np.ndarray, k: int) -> np.ndarray:
     """How many S-D paths include each cell, as a flat array.
 
-    pairs_cells is an (P, 2) array of (source cell, destination cell). The
-    count covers every cell of each HV path, endpoints included.
-    """
-    return path_load_census(pairs_cells, grid.side_count)
-
-
-def path_load_census(pairs_cells: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized HV path-cell census via difference arrays, O(P + k^2).
-
-    The difference arrays are integer bincounts over flat cell indices.
+    pairs_cells is an (P, 2) array of (source cell, destination cell); the
+    count covers every cell of each HV path, endpoints included. Difference
+    arrays (integer bincounts over flat cell indices) make it O(P + k^2).
 
     Each path contributes its horizontal run [sx..dx] at row sy and its
     vertical run at column dx excluding row sy (counted once at the turn).

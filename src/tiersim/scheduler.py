@@ -21,11 +21,9 @@ import numpy as np
 from .deployment import CellGrid
 
 __all__ = [
-    "SUBFRAMES",
-    "SLOTS_PER_SUBFRAME",
+    "TICKS",
     "Region",
     "slot_offsets",
-    "active_cells",
     "make_region",
     "preservation_regions",
     "blocked_secondary_cells",
@@ -33,26 +31,18 @@ __all__ = [
     "rects_overlap",
 ]
 
-SUBFRAMES = 3
-SLOTS_PER_SUBFRAME = 64
+TICKS = 64  # slots of the round robin; one subframe spans one full cycle
 
 
 def slot_offsets(side_count: int) -> np.ndarray:
-    """Flat array of activation slots: cell (cx, cy) wakes at 8(cx%8)+(cy%8)."""
-    cx, cy = np.divmod(np.arange(side_count * side_count), side_count)
-    return (8 * (cx % 8) + (cy % 8)).astype(np.int64)
-
-
-def active_cells(grid: CellGrid, slot: int) -> np.ndarray:
-    """Flat cells active in a slot; one per full 8x8 cluster.
+    """Flat array of activation slots: cell (cx, cy) wakes at 8(cx%8)+(cy%8).
 
     Grids narrower than 8 cells hold a single partial cluster, so some of
     the 64 slots activate no cell at all; each cell is still active exactly
-    once per 64-slot cycle.
+    once per cycle.
     """
-    if not 0 <= slot < SLOTS_PER_SUBFRAME:
-        raise ValueError(f"slot must lie in [0, 64), got {slot}")
-    return np.flatnonzero(slot_offsets(grid.side_count) == slot)
+    cx, cy = np.divmod(np.arange(side_count * side_count), side_count)
+    return (8 * (cx % 8) + (cy % 8)).astype(np.int64)
 
 
 # ======== regions ========
@@ -62,40 +52,21 @@ def active_cells(grid: CellGrid, slot: int) -> np.ndarray:
 class Region:
     """3x3 primary block plus secondary ring, clipped at the boundary.
 
-    The secondary extent is stored as an inclusive rectangle in secondary
-    cell coordinates: columns sec_x0..sec_x1, rows sec_y0..sec_y1.
+    The extent is stored as an inclusive rectangle in secondary cell
+    coordinates: columns sec_x0..sec_x1, rows sec_y0..sec_y1.
     """
 
-    kind: str
     center: int
-    prim_x0: int
-    prim_x1: int
-    prim_y0: int
-    prim_y1: int
     sec_x0: int
     sec_x1: int
     sec_y0: int
     sec_y1: int
 
-    @property
-    def secondary_cell_count(self) -> int:
-        return (self.sec_x1 - self.sec_x0 + 1) * (self.sec_y1 - self.sec_y0 + 1)
-
     def secondary_rect(self) -> tuple[int, int, int, int]:
         return (self.sec_x0, self.sec_x1, self.sec_y0, self.sec_y1)
 
-    def contains_primary(self, cell: int, k_p: int) -> bool:
-        cx, cy = divmod(cell, k_p)
-        return self.prim_x0 <= cx <= self.prim_x1 and self.prim_y0 <= cy <= self.prim_y1
 
-    def secondary_cells(self, k_s: int) -> np.ndarray:
-        """Enumerated flat member secondary cells (test oracle sized)."""
-        xs = np.arange(self.sec_x0, self.sec_x1 + 1)
-        ys = np.arange(self.sec_y0, self.sec_y1 + 1)
-        return (xs[:, None] * k_s + ys[None, :]).ravel()
-
-
-def make_region(kind: str, center: int, p_grid: CellGrid, s_grid: CellGrid) -> Region:
+def make_region(center: int, p_grid: CellGrid, s_grid: CellGrid) -> Region:
     k_p = p_grid.side_count
     k_s = s_grid.side_count
     q = k_s // k_p
@@ -103,12 +74,7 @@ def make_region(kind: str, center: int, p_grid: CellGrid, s_grid: CellGrid) -> R
     bx0, bx1 = max(0, px - 1), min(k_p - 1, px + 1)
     by0, by1 = max(0, py - 1), min(k_p - 1, py + 1)
     return Region(
-        kind=kind,
         center=center,
-        prim_x0=bx0,
-        prim_x1=bx1,
-        prim_y0=by0,
-        prim_y1=by1,
         sec_x0=max(0, bx0 * q - 1),
         sec_x1=min(k_s - 1, (bx1 + 1) * q),
         sec_y0=max(0, by0 * q - 1),
@@ -120,7 +86,7 @@ def preservation_regions(
     active_tx_cells, p_grid: CellGrid, s_grid: CellGrid
 ) -> list[Region]:
     """One region per primary cell that actually transmits this slot."""
-    return [make_region("preservation", int(c), p_grid, s_grid) for c in active_tx_cells]
+    return [make_region(int(c), p_grid, s_grid) for c in active_tx_cells]
 
 
 def blocked_secondary_cells(regions, s_grid: CellGrid) -> np.ndarray:
@@ -158,7 +124,7 @@ def place_collection_regions(
     admitted: list[Region] = []
     admitted_rects: list[tuple[int, int, int, int]] = []
     for sink in sorted(set(int(c) for c in pending_sink_cells)):
-        region = make_region("collection", sink, p_grid, s_grid)
+        region = make_region(sink, p_grid, s_grid)
         rect = region.secondary_rect()
         # grow one side of every tested pair by q cells = one primary cell
         grown = (rect[0] - q, rect[1] + q, rect[2] - q, rect[3] + q)

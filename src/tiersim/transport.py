@@ -22,7 +22,7 @@ per-pair throughput reflects the load of the whole network, not the sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from . import phy
 from .deployment import PRIMARY, SECONDARY, ConfigurationError, Deployment
 from .routing import RelayAssignment, hv_path_cells, path_load_census
 from .scheduler import (
+    TICKS,
     Region,
     blocked_secondary_cells,
     place_collection_regions,
@@ -46,7 +47,10 @@ __all__ = [
     "segment_gap",
 ]
 
-TICKS = 64
+INJECT_EVERY = 2           # secondary source period, frames per packet
+AUDIT_BROADCASTS = 64      # broadcasts fully audited across all ticks
+AUDIT_RX_CAP = 64          # relay receivers sampled per audited broadcast
+AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
 
 # audited hops as (transmitter (H,2), receiver (H,2), sending cell (H,)) arrays
 NO_HOPS = (np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
@@ -72,11 +76,7 @@ class RunOptions:
     """Knobs for one simulation run that are not part of the model config."""
 
     sample_pairs: int = 256
-    inject_every: int = 2        # secondary source period, frames per packet
     audit_frames: int = 512      # SINR audit window starting at warmup
-    audit_broadcasts: int = 64   # broadcasts fully audited across all ticks
-    audit_hops_per_frame: int = 8
-    audit_rx_cap: int = 64       # relay receivers sampled per audited broadcast
     collect_records: bool = False
     log_tx_frames: int = 0       # log every secondary TX cell for this many frames
 
@@ -108,7 +108,6 @@ class SegmentBundle:
     delivered_frame: int = -1
     arrival_ticks: np.ndarray | None = None
     ready_frame: int = -1
-    hops_log: list = field(default_factory=list)
 
 
 class TransportSim:
@@ -125,6 +124,7 @@ class TransportSim:
         self.cfg = deployment.config
         self.opt = options
         self.rng = rng
+        self.relays = relays
         self.gp = deployment.primary_grid
         self.gs = deployment.secondary_grid
         self.k_p = self.gp.side_count
@@ -178,7 +178,7 @@ class TransportSim:
         self.n_pairs_p = len(pairs)
         src_cells = dep.primary_cells[pairs[:, 0]]
         dst_cells = dep.primary_cells[pairs[:, 1]]
-        self.pair_path: list[tuple[int, ...]] = []
+        self.pair_path_len = np.zeros(self.n_pairs_p, dtype=np.int64)
         self.pair_direct = np.zeros(self.n_pairs_p, dtype=bool)
         self.pair_relay_cell = np.full(self.n_pairs_p, -1, dtype=np.int64)
         self.pair_int_dest = np.full(self.n_pairs_p, -1, dtype=np.int64)
@@ -189,7 +189,7 @@ class TransportSim:
         int_dest: dict[tuple[int, int], int] = {}
         for i in range(self.n_pairs_p):
             path = hv_path_cells(int(src_cells[i]), int(dst_cells[i]), self.k_p)
-            self.pair_path.append(path)
+            self.pair_path_len[i] = len(path)
             if len(path) <= 2:
                 self.pair_direct[i] = True
                 continue
@@ -230,25 +230,21 @@ class TransportSim:
 
         take = min(self.opt.sample_pairs, self.n_pairs_s)
         rows = np.sort(self.rng.choice(self.n_pairs_s, size=take, replace=False))
-        self.sample_rows = rows
         self.s_src = pairs[rows, 0]
         self.s_dst = pairs[rows, 1]
         paths = []
         for r in range(take):
             sc = int(dep.secondary_cells[self.s_src[r]])
-            dc = int(dep.secondary_cells[self.s_dst[r]])
-            raw = hv_path_cells(sc, dc, self.k_s)
-            if len(raw) == 1:
-                raw = (sc, sc)  # same-cell pair still takes one in-cell hop
-            interior = [c for c in raw[1:-1] if self.sec_relay[c] >= 0]
-            paths.append((raw[0], *interior, raw[-1]))
+            path = self._relay_path(sc, int(dep.secondary_cells[self.s_dst[r]]))
+            # a same-cell pair still takes one in-cell hop
+            paths.append(path * 2 if len(path) == 1 else path)
         self.plen = np.array([len(p) for p in paths], dtype=np.int64)
         self.path_off = np.zeros(take, dtype=np.int64)
         np.cumsum(self.plen[:-1], out=self.path_off[1:])
         self.path_flat = np.array([c for p in paths for c in p], dtype=np.int64)
         self.birth_sigma = self.sigma_s[self.path_flat[self.path_off]]
 
-        cap = int(self.plen.max()) // max(1, self.opt.inject_every) + 96 if take else 8
+        cap = int(self.plen.max()) // INJECT_EVERY + 96 if take else 8
         self._cap = cap
         self.pos2 = np.full((take, cap), -1, dtype=np.int64)
         self.birth2 = np.full((take, cap), -1, dtype=np.int64)
@@ -277,15 +273,22 @@ class TransportSim:
         self.relay_row = np.full(self.gs.cell_count, -1, dtype=np.int64)
         self.relay_row[self.relay_cells] = np.arange(len(self.relay_cells))
 
+    def _relay_path(self, src_cell: int, dst_cell: int) -> tuple[int, ...]:
+        """HV path on the secondary grid without interior cells that hold no relay."""
+        raw = hv_path_cells(src_cell, dst_cell, self.k_s)
+        if len(raw) == 1:
+            return raw
+        return (raw[0], *(c for c in raw[1:-1] if self.sec_relay[c] >= 0), raw[-1])
+
     # ======== per-frame mechanics ========
 
+    def _logging(self, t: int) -> bool:
+        return self.cfg.warmup_frames <= t < self.cfg.warmup_frames + self.opt.log_tx_frames
+
     def _log_tx(self, t: int, cells) -> None:
-        if not (0 < self.opt.log_tx_frames and
-                self.cfg.warmup_frames <= t < self.cfg.warmup_frames + self.opt.log_tx_frames):
-            return
-        arr = np.atleast_1d(np.asarray(cells, dtype=np.int64))
-        self.tx_log_frames.extend([t] * len(arr))
-        self.tx_log_cells.extend(int(c) for c in arr)
+        """Log secondary TX cells of frame t; callers check _logging(t) first."""
+        self.tx_log_frames.extend([t] * len(cells))
+        self.tx_log_cells.extend(int(c) for c in cells)
 
     def _in_audit(self, t: int) -> bool:
         return self.cfg.warmup_frames <= t < self.cfg.warmup_frames + self.opt.audit_frames
@@ -310,7 +313,7 @@ class TransportSim:
                 if self.opt.collect_records:
                     self.records.append(PacketRecord(
                         self._next_id(), PRIMARY, 3 * t, 3 * t + 2,
-                        len(self.pair_path[pair]), 0))
+                        int(self.pair_path_len[pair]), 0))
                 continue
             if self.pair_int_dest[pair] < 0:
                 self.dropped_p += 1
@@ -323,9 +326,7 @@ class TransportSim:
             ids = self.rng.choice(members, size=self.n_relays, replace=False)
             lead = int(ids[self.rng.integers(self.n_relays)])
             lead_cell = int(self.dep.secondary_cells[lead])
-            raw = hv_path_cells(lead_cell, int(self.pair_int_dest_cell[pair]), self.k_s)
-            interior = [c for c in raw[1:-1] if self.sec_relay[c] >= 0]
-            path = np.array([raw[0], *interior, raw[-1]] if len(raw) > 1 else raw,
+            path = np.array(self._relay_path(lead_cell, int(self.pair_int_dest_cell[pair])),
                             dtype=np.int64)
             bundle = SegmentBundle(
                 pair=pair, path=path, segments=self.n_relays, born=t,
@@ -354,13 +355,13 @@ class TransportSim:
         self._cap = cap
 
     def _inject(self, t: int) -> None:
-        if self.n_sampled == 0 or t % self.opt.inject_every:
+        if self.n_sampled == 0 or t % INJECT_EVERY:
             return
         if (self.cnt >= self._cap).any():
             self._grow()
         rows = np.arange(self.n_sampled)
         self.pos2[rows, self.cnt] = 0
-        self.birth2[rows, self.cnt] = 64 * t + self.birth_sigma
+        self.birth2[rows, self.cnt] = TICKS * t + self.birth_sigma
         self.cnt += 1
         self.injected_s += self.n_sampled
 
@@ -377,11 +378,12 @@ class TransportSim:
         move = lead & ~blocked[cells]
         prev_cells = cells[:, 0].copy()
         pos += move
-        self._log_tx(t, cells[move])
+        if self._logging(t):
+            self._log_tx(t, cells[move])
 
         moved_hops = NO_HOPS
-        if self._in_audit(t) and self.opt.audit_hops_per_frame:
-            first = np.flatnonzero(move)[: self.opt.audit_hops_per_frame]
+        if self._in_audit(t):
+            first = np.flatnonzero(move)[:AUDIT_HOPS_PER_FRAME]
             rows, cols = np.divmod(first, move.shape[1])
             newpos = pos[rows, cols]
             at = self.path_off[rows] + newpos
@@ -396,7 +398,7 @@ class TransportSim:
         done = occ[:, 0] & (pos[:, 0] == self.plen - 1)
         rows = np.flatnonzero(done)
         if len(rows):
-            arrival = 64 * t + self.sigma_s[prev_cells[rows]] + 1
+            arrival = TICKS * t + self.sigma_s[prev_cells[rows]] + 1
             delays = arrival - self.birth2[rows, 0]
             self.delivered_s += len(rows)
             if t >= self.cfg.warmup_frames:
@@ -416,7 +418,7 @@ class TransportSim:
 
     def _bundle_arrived(self, b: SegmentBundle, t: int, last_cell: int) -> None:
         b.arrival_frame = t
-        tick = 64 * t + int(self.sigma_s[last_cell]) + 1
+        tick = TICKS * t + int(self.sigma_s[last_cell]) + 1
         b.arrival_ticks = np.full(b.segments, tick, dtype=np.int64)
         b.ready_frame = t + 1  # joins the delivery roster next frame
         self.pending.append(b)
@@ -424,6 +426,7 @@ class TransportSim:
     def _advance_bundles(self, t: int, blocked: np.ndarray) -> tuple:
         """Subframe 2: bundles hop atomically, one bundle per cell per pair."""
         audit = self._in_audit(t)
+        logged = self._logging(t)
         tx, rx, sent = [], [], []
         still: list[SegmentBundle] = []
         taken: set[tuple[int, int]] = set()
@@ -438,9 +441,8 @@ class TransportSim:
                 continue
             taken.add(key)
             b.pos += 1
-            if self.opt.collect_records:
-                b.hops_log.append(t)
-            self._log_tx(t, cell)
+            if logged:
+                self._log_tx(t, (cell,))
             new_cell = int(b.path[b.pos])
             if audit:
                 tx.append(b.lead_pos if b.pos == 1 else self.sec_pos[self.sec_relay[cell]])
@@ -484,7 +486,8 @@ class TransportSim:
             done.add(id(b))
             b.delivered_frame = t
             self.delivered_carried += 1
-            self._log_tx(t, int(self.dep.secondary_cells[b.int_dest]))
+            if self._logging(t):
+                self._log_tx(t, (self.dep.secondary_cells[b.int_dest],))
             gap = segment_gap(b.arrival_ticks)
             self.gap_total += 1
             self.gap_ok += gap <= TICKS
@@ -528,13 +531,13 @@ class TransportSim:
                             self.p_p, int_pos, int_pow, noise, alpha)
             self.report.record("delivery", s)
 
-        if self._audited_broadcasts >= self.opt.audit_broadcasts:
+        if self._audited_broadcasts >= AUDIT_BROADCASTS:
             return
         for j, (src_pos, rx_all, category, _pair) in enumerate(broadcasts):
-            if self._audited_broadcasts >= self.opt.audit_broadcasts:
+            if self._audited_broadcasts >= AUDIT_BROADCASTS:
                 break
             self._audited_broadcasts += 1
-            rx = rx_all[: self.opt.audit_rx_cap]
+            rx = rx_all[:AUDIT_RX_CAP]
             other_bc = np.delete(bc_pos, j, axis=0)
             worst = np.full(len(rx), np.inf)
             for tick in range(TICKS):

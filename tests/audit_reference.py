@@ -5,13 +5,17 @@ transmitters are rebuilt per phase from the preservation rectangles, and
 every hop, delivery and broadcast tick makes its own call to a kernel that
 forms the full (R, T, 2) difference array. The batched audit must
 reproduce its running minima and sample counts exactly.
+use_reference_audit installs it on one TransportSim instance.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from tiersim.transport import TICKS, TransportSim
+from tiersim.scheduler import TICKS
+from tiersim.transport import AUDIT_BROADCASTS, AUDIT_RX_CAP, TransportSim
 
 
 def interference_at(rx_pos, tx_pos, tx_power_w, alpha):
@@ -58,54 +62,58 @@ def tick_sets(sim: TransportSim, phase: int) -> list:
     return sets
 
 
-class ReferenceAuditSim(TransportSim):
-    """TransportSim whose audit is the per-hop reference."""
+def use_reference_audit(sim: TransportSim) -> TransportSim:
+    """Make sim audit every frame with reference_audit_frame."""
+    sim._audit_frame = partial(reference_audit_frame, sim)
+    return sim
 
-    def _audit_frame(self, t, broadcasts, hops, deliveries) -> None:
-        noise, alpha = self.cfg.noise, self.cfg.alpha
-        sets = tick_sets(self, t % TICKS)
-        bc_pos = np.array([b[0] for b in broadcasts]).reshape(-1, 2)
-        deliv_tx = np.array([d[0] for d in deliveries]).reshape(-1, 2)
 
-        for tx, rx, prev_cell in zip(*hops):
-            cells, pos = sets[int(self.sigma_s[prev_cell])]
-            keep = cells != prev_cell
-            int_pos = np.vstack([pos[keep], bc_pos])
+def reference_audit_frame(sim: TransportSim, t, broadcasts, hops, deliveries) -> None:
+    """The per-hop audit of frame t, recording into sim.report."""
+    noise, alpha = sim.cfg.noise, sim.cfg.alpha
+    sets = tick_sets(sim, t % TICKS)
+    bc_pos = np.array([b[0] for b in broadcasts]).reshape(-1, 2)
+    deliv_tx = np.array([d[0] for d in deliveries]).reshape(-1, 2)
+
+    for tx, rx, prev_cell in zip(*hops):
+        cells, pos = sets[int(sim.sigma_s[prev_cell])]
+        keep = cells != prev_cell
+        int_pos = np.vstack([pos[keep], bc_pos])
+        int_pow = np.concatenate([
+            np.full(int(keep.sum()), sim.p_s), np.full(len(bc_pos), sim.p_p)])
+        s = sinr_at(rx[None, :], np.asarray(tx, dtype=float), sim.p_s,
+                    int_pos, int_pow, noise, alpha)
+        sim.report.record("secondary", s)
+
+    sink_of = np.array([d[2] for d in deliveries], dtype=np.int64)
+    for tx_int_dest, rx_dst, sink in deliveries:
+        others = deliv_tx[sink_of != sink]
+        int_pos = np.vstack([others, bc_pos])
+        int_pow = np.full(len(int_pos), sim.p_p)
+        s = sinr_at(rx_dst[None, :], np.asarray(tx_int_dest, dtype=float),
+                    sim.p_p, int_pos, int_pow, noise, alpha)
+        sim.report.record("delivery", s)
+
+    if sim._audited_broadcasts >= AUDIT_BROADCASTS:
+        return
+    for j, (src_pos, rx_all, category, _pair) in enumerate(broadcasts):
+        if sim._audited_broadcasts >= AUDIT_BROADCASTS:
+            break
+        sim._audited_broadcasts += 1
+        rx = rx_all[:AUDIT_RX_CAP]
+        other_bc = np.delete(bc_pos, j, axis=0)
+        worst = np.full(len(rx), np.inf)
+        for tick in range(TICKS):
+            _cells, pos = sets[tick]
+            int_pos = np.vstack([pos, other_bc])
             int_pow = np.concatenate([
-                np.full(int(keep.sum()), self.p_s), np.full(len(bc_pos), self.p_p)])
-            s = sinr_at(rx[None, :], np.asarray(tx, dtype=float), self.p_s,
-                        int_pos, int_pow, noise, alpha)
-            self.report.record("secondary", s)
-
-        sink_of = np.array([d[2] for d in deliveries], dtype=np.int64)
-        for tx_int_dest, rx_dst, sink in deliveries:
-            others = deliv_tx[sink_of != sink]
-            int_pos = np.vstack([others, bc_pos])
-            int_pow = np.full(len(int_pos), self.p_p)
-            s = sinr_at(rx_dst[None, :], np.asarray(tx_int_dest, dtype=float),
-                        self.p_p, int_pos, int_pow, noise, alpha)
-            self.report.record("delivery", s)
-
-        if self._audited_broadcasts >= self.opt.audit_broadcasts:
-            return
-        for j, (src_pos, rx_all, category, _pair) in enumerate(broadcasts):
-            if self._audited_broadcasts >= self.opt.audit_broadcasts:
-                break
-            self._audited_broadcasts += 1
-            rx = rx_all[: self.opt.audit_rx_cap]
-            other_bc = np.delete(bc_pos, j, axis=0)
-            worst = np.full(len(rx), np.inf)
-            for tick in range(TICKS):
-                _cells, pos = sets[tick]
-                int_pos = np.vstack([pos, other_bc])
-                int_pow = np.concatenate([
-                    np.full(len(pos), self.p_s), np.full(len(other_bc), self.p_p)])
-                s = sinr_at(rx, np.asarray(src_pos, dtype=float), self.p_p,
-                            int_pos, int_pow, noise, alpha)
-                worst = np.minimum(worst, s)
-            int_pos = np.vstack([deliv_tx, other_bc])
-            int_pow = np.full(len(int_pos), self.p_p)
-            s = sinr_at(rx, np.asarray(src_pos, dtype=float), self.p_p,
+                np.full(len(pos), sim.p_s), np.full(len(other_bc), sim.p_p)])
+            s = sinr_at(rx, np.asarray(src_pos, dtype=float), sim.p_p,
                         int_pos, int_pow, noise, alpha)
             worst = np.minimum(worst, s)
-            self.report.record(category, worst)
+        int_pos = np.vstack([deliv_tx, other_bc])
+        int_pow = np.full(len(int_pos), sim.p_p)
+        s = sinr_at(rx, np.asarray(src_pos, dtype=float), sim.p_p,
+                    int_pos, int_pow, noise, alpha)
+        worst = np.minimum(worst, s)
+        sim.report.record(category, worst)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from tiersim.deployment import SimConfig, build_deployment
+from tiersim.deployment import SimConfig, build_deployment, rng_streams
 from tiersim.routing import select_relays
 
 # Reject a draw when P(X >= x) is at most this. Five acceptance grid points
@@ -86,7 +86,7 @@ def capture_pool(n: float, seeds: range) -> CapturePool:
     n_c, m_c, uncaptured = [], [], 0
     for seed in seeds:
         dep = build_deployment(SimConfig(n=n, seed=seed))
-        relays = select_relays(dep, np.random.default_rng(seed).spawn(4)[2])
+        relays = select_relays(dep, rng_streams(seed)[2])
         has = relays.primary_relay >= 0
         n_c.append(dep.primary_index.counts[has])
         m_c.append(dep.secondary_index_primary_grid.counts[has])

@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 
 from capture_law import TAIL_LEVEL, capture_pool
-from tiersim.deployment import SimConfig, build_deployment
+from tiersim.deployment import SimConfig
 from tiersim.harness import (
     SweepPlan,
     check_theorems,
     planted_results,
+    prepare,
     run_sweep,
     trace_packet,
 )
-from tiersim.routing import select_relays
 from tiersim.scheduler import preservation_regions, slot_offsets
-from tiersim.transport import RunOptions, TransportSim
+from tiersim.transport import RunOptions
 
 N_GRID = (64.0, 128.0, 256.0, 512.0, 1024.0)
 AP_GRID = (2.0, 4.0, 8.0, 16.0)   # swept at the top density, where k_p stays >= 2
@@ -205,11 +205,9 @@ def test_07_audited_rate_floors(sweep):
 
 def test_08_no_transmission_inside_preservation_regions():
     cfg = SimConfig(n=128.0, frames=224, warmup_frames=128, seed=SEED0)
-    dep = build_deployment(cfg)
-    gens = np.random.default_rng(SEED0).spawn(4)
-    relays = select_relays(dep, gens[2])
-    sim = TransportSim(dep, relays, RunOptions(log_tx_frames=64), gens[3])
+    sim = prepare(cfg, RunOptions(log_tx_frames=64))
     sim.run()
+    dep = sim.dep
     assert len(sim.tx_log_cells) > 1000
 
     # recompute the forbidden rectangles from the pair table alone
@@ -237,10 +235,7 @@ def test_08_no_transmission_inside_preservation_regions():
 
 def test_09_conservation_and_reassembly():
     cfg = SimConfig(n=128.0, frames=224, warmup_frames=0, seed=SEED0)
-    dep = build_deployment(cfg)
-    gens = np.random.default_rng(SEED0).spawn(4)
-    relays = select_relays(dep, gens[2])
-    sim = TransportSim(dep, relays, RunOptions(collect_records=True), gens[3])
+    sim = prepare(cfg, RunOptions(collect_records=True))
     sim.run()  # per-frame balance asserts hold on every step of every run
     conserved = (
         sim.injected_s == sim.delivered_s + int(sim.cnt.sum())

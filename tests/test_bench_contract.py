@@ -1,0 +1,29 @@
+"""The names the benchmark in perfbench/ relies on, held by the default suite.
+
+perfbench/spans.py wraps tiersim functions where their callers look them
+up, and perfbench/bench.py assembles a run point as run_point does. A rename
+or a change of run assembly that would break a benchmark run fails here.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import bench  # noqa: E402
+import spans  # noqa: E402
+
+from tiersim.deployment import SimConfig  # noqa: E402
+from tiersim.harness import run_point  # noqa: E402
+
+
+def test_traced_names_live_where_spans_patch_them():
+    for owner, attr, _name, _info in spans._targets():
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"
+
+
+def test_bench_assembly_matches_run_point():
+    config = SimConfig(n=128.0, frames=160, warmup_frames=32, seed=3)
+    timed = bench.run_point_timed(config)
+    assert timed.failures == []
+    assert bench.results_digest([timed.result]) == bench.results_digest([run_point(config)])

@@ -274,8 +274,9 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
 
 def test_cli_rejects_unknown_config_keys(tmp_path):
     cfg = tmp_path / "plan.json"
-    cfg.write_text(json.dumps({"n": [100], "bogus": 1}))
-    assert run_cli(["--config", cfg]) == 2
+    for unknown in ({"bogus": 1}, {"warmup_frames": 16}):
+        cfg.write_text(json.dumps({"n": [100], **unknown}))
+        assert run_cli(["--config", cfg]) == 2
 
 
 def test_cli_rejects_non_object_config(tmp_path):

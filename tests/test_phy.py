@@ -1,4 +1,4 @@
-"""Pathloss, power rule, and SINR arithmetic."""
+"""Power rule, the vectorized SINR against its scalar reference, and rate floors."""
 
 import math
 
@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiersim.phy import (
-    LinkSample,
-    RateReport,
-    interference_at,
-    pathloss,
-    rate_of,
-    sinr,
-    sinr_at,
-    tx_power,
-)
+from scalar_phy import LinkSample, min_rate, pathloss, rate_of, sinr
+from tiersim.phy import RateReport, interference_at, sinr_at, tx_power
 
 
 # ======== pathloss ========
@@ -232,12 +224,12 @@ def test_rate_report_tracks_minima():
     rep.record("primary", np.array([2.0]))
     rep.record("delivery", np.array([0.25]))
     assert rep.floor("primary") == pytest.approx(1.5)
-    assert rep.min_rate("primary") == pytest.approx(math.log2(2.5))
+    assert min_rate(rep, "primary") == pytest.approx(math.log2(2.5))
     assert rep.floor("delivery") == pytest.approx(0.25)
     assert rep.samples == {"primary": 3, "delivery": 1, "secondary": 0}
     # untouched category reports nan, not a fake zero
     assert math.isnan(rep.floor("secondary"))
-    assert math.isnan(rep.min_rate("secondary"))
+    assert math.isnan(min_rate(rep, "secondary"))
 
 
 def test_rate_report_ignores_empty_batches():

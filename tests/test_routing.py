@@ -1,19 +1,12 @@
 """HV paths, designated relays, and path-load counting."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capture_law import TAIL_LEVEL, capture_pool
 from tiersim.deployment import SimConfig, build_deployment
-from tiersim.routing import (
-    hv_path,
-    hv_path_cells,
-    path_load_census,
-    paths_through_cell,
-    select_relays,
-)
+from tiersim.routing import hv_path_cells, path_load_census, select_relays
 
 
 def flat(x, y, k):
@@ -25,35 +18,21 @@ def flat(x, y, k):
 
 def test_same_cell_path():
     k = 8
-    path = hv_path(flat(2, 3, k), flat(2, 3, k), _grid(k))
-    assert path.cells == (flat(2, 3, k),)
-    assert len(path) == 1
+    path = hv_path_cells(flat(2, 3, k), flat(2, 3, k), k)
+    assert path == (flat(2, 3, k),)
 
 
 def test_horizontal_path():
     k = 8
-    path = hv_path(flat(0, 0, k), flat(3, 0, k), _grid(k))
-    assert path.cells == tuple(flat(x, 0, k) for x in range(4))
+    path = hv_path_cells(flat(0, 0, k), flat(3, 0, k), k)
+    assert path == tuple(flat(x, 0, k) for x in range(4))
 
 
 def test_horizontal_then_vertical_path():
     k = 8
-    path = hv_path(flat(0, 0, k), flat(2, 2, k), _grid(k))
+    path = hv_path_cells(flat(0, 0, k), flat(2, 2, k), k)
     expected = [flat(0, 0, k), flat(1, 0, k), flat(2, 0, k), flat(2, 1, k), flat(2, 2, k)]
-    assert path.cells == tuple(expected)
-
-
-def test_path_rejects_out_of_grid():
-    with pytest.raises(ValueError):
-        hv_path(0, 64, _grid(8))
-    with pytest.raises(ValueError):
-        hv_path(-1, 0, _grid(8))
-
-
-def _grid(k):
-    from tiersim.deployment import CellGrid
-
-    return CellGrid(side_count=k, tier="secondary")
+    assert path == tuple(expected)
 
 
 @given(
@@ -148,7 +127,7 @@ def test_empty_cells_get_no_relay():
 def test_single_pair_census():
     k = 8
     pairs = np.array([[flat(1, 1, k), flat(4, 5, k)]])
-    counts = paths_through_cell(pairs, _grid(k))
+    counts = path_load_census(pairs, k)
     path = set(hv_path_cells(flat(1, 1, k), flat(4, 5, k), k))
     for cell in range(k * k):
         assert counts[cell] == (1 if cell in path else 0)

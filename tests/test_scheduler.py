@@ -1,13 +1,10 @@
 """Slot round-robin, preservation regions, and collection admission."""
 
 import numpy as np
-import pytest
 
 from tiersim.deployment import CellGrid
 from tiersim.scheduler import (
-    SLOTS_PER_SUBFRAME,
-    SUBFRAMES,
-    active_cells,
+    TICKS,
     blocked_secondary_cells,
     make_region,
     place_collection_regions,
@@ -17,20 +14,32 @@ from tiersim.scheduler import (
 )
 
 
-def pgrid(k):
-    return CellGrid(side_count=k, tier="primary")
+pgrid = sgrid = CellGrid  # a grid is its side count, whichever tier it serves
 
 
-def sgrid(k):
-    return CellGrid(side_count=k, tier="secondary")
+def active_cells(grid, slot):
+    """Flat cells of a grid that wake in a slot."""
+    return np.flatnonzero(slot_offsets(grid.side_count) == slot)
+
+
+def region_cells(region, k_s):
+    """Flat secondary cells of a region, enumerated from its rectangle."""
+    x0, x1, y0, y1 = region.secondary_rect()
+    return np.array([x * k_s + y for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)])
+
+
+def covers_primary(region, cell, k_p, q):
+    """Whether a region holds every secondary cell of a primary cell."""
+    cx, cy = divmod(cell, k_p)
+    x0, x1, y0, y1 = region.secondary_rect()
+    return x0 <= cx * q and (cx + 1) * q - 1 <= x1 and y0 <= cy * q and (cy + 1) * q - 1 <= y1
 
 
 # ======== slot round robin ========
 
 
 def test_frame_structure_constants():
-    assert SUBFRAMES == 3
-    assert SLOTS_PER_SUBFRAME == 64
+    assert TICKS == 64
 
 
 def test_single_cluster_slot_zero():
@@ -65,13 +74,6 @@ def test_partial_cluster_has_empty_slots():
     assert woken == {0, 1, 8, 9}
 
 
-def test_slot_range_is_checked():
-    with pytest.raises(ValueError):
-        active_cells(pgrid(8), 64)
-    with pytest.raises(ValueError):
-        active_cells(pgrid(8), -1)
-
-
 def test_slot_offsets_formula():
     offs = slot_offsets(16)
     cx, cy = np.divmod(np.arange(256), 16)
@@ -83,14 +85,14 @@ def test_slot_offsets_formula():
 
 def test_interior_region_cell_count():
     # q=39: 3 blocks of 39 plus a one-cell ring on both sides = 119 per axis
-    region = make_region("preservation", 4 * 8 + 4, pgrid(8), sgrid(8 * 39))
-    assert region.secondary_cell_count == 119 * 119 == 14161
+    region = make_region(4 * 8 + 4, pgrid(8), sgrid(8 * 39))
+    assert len(region_cells(region, 8 * 39)) == 119 * 119 == 14161
 
 
 def test_corner_region_clips():
     # corner loses one block and one ring cell per clipped side
-    region = make_region("preservation", 0, pgrid(8), sgrid(8 * 39))
-    assert region.secondary_cell_count == (2 * 39 + 1) ** 2
+    region = make_region(0, pgrid(8), sgrid(8 * 39))
+    assert len(region_cells(region, 8 * 39)) == (2 * 39 + 1) ** 2
 
 
 def test_region_membership_against_enumeration():
@@ -99,7 +101,7 @@ def test_region_membership_against_enumeration():
     k_s = k_p * q
     p, s = pgrid(k_p), sgrid(k_s)
     for center in range(k_p * k_p):
-        region = make_region("preservation", center, p, s)
+        region = make_region(center, p, s)
         px, py = divmod(center, k_p)
         bx0, bx1 = max(0, px - 1), min(k_p - 1, px + 1)
         by0, by1 = max(0, py - 1), min(k_p - 1, py + 1)
@@ -110,22 +112,21 @@ def test_region_membership_against_enumeration():
                 in_y = by0 * q - 1 <= sy <= (by1 + 1) * q
                 if in_x and in_y:
                     members.add(sx * k_s + sy)
-        assert set(region.secondary_cells(k_s).tolist()) == members
-        assert region.secondary_cell_count == len(members)
+        assert set(region_cells(region, k_s).tolist()) == members
 
 
 def test_region_contains_primary_block():
-    region = make_region("preservation", 4 * 8 + 4, pgrid(8), sgrid(40))
-    assert region.contains_primary(3 * 8 + 3, 8)
-    assert region.contains_primary(5 * 8 + 5, 8)
-    assert not region.contains_primary(6 * 8 + 4, 8)
-    assert not region.contains_primary(4 * 8 + 2, 8)
+    region = make_region(4 * 8 + 4, pgrid(8), sgrid(40))
+    assert covers_primary(region, 3 * 8 + 3, 8, 5)
+    assert covers_primary(region, 5 * 8 + 5, 8, 5)
+    assert not covers_primary(region, 6 * 8 + 4, 8, 5)
+    assert not covers_primary(region, 4 * 8 + 2, 8, 5)
 
 
 def test_regions_eight_cells_apart_are_disjoint():
     p, s = pgrid(16), sgrid(16 * 5)
-    a = make_region("preservation", 3 * 16 + 3, p, s)
-    b = make_region("preservation", 11 * 16 + 3, p, s)
+    a = make_region(3 * 16 + 3, p, s)
+    b = make_region(11 * 16 + 3, p, s)
     assert not rects_overlap(a.secondary_rect(), b.secondary_rect())
 
 
@@ -196,7 +197,7 @@ def test_admitted_regions_never_touch_blocked_cells():
     admitted = place_collection_regions(sinks, pres, p, s)
     assert admitted  # plenty of room far from both transmitters
     for region in admitted:
-        assert not mask[region.secondary_cells(s.side_count)].any()
+        assert not mask[region_cells(region, s.side_count)].any()
 
 
 def test_admission_is_greedy_in_sink_order():

@@ -7,28 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audit_reference import ReferenceAuditSim
+from audit_reference import rect_blocked, use_reference_audit
 
-from tiersim.deployment import ConfigurationError, SimConfig, build_deployment
+from tiersim.deployment import ConfigurationError, SimConfig
+from tiersim.harness import prepare
 from tiersim.phy import RateReport
-from tiersim.routing import select_relays
-from tiersim.scheduler import make_region
-from tiersim.transport import (
-    TICKS,
-    RunOptions,
-    SegmentBundle,
-    TransportSim,
-    relay_count,
-    segment_gap,
-)
+from tiersim.scheduler import TICKS, make_region
+from tiersim.transport import RunOptions, SegmentBundle, relay_count, segment_gap
 
 
-def make_sim(n=100.0, seed=0, frames=96, warmup=32, sim_class=TransportSim, **opts):
+def make_sim(n=100.0, seed=0, frames=96, warmup=32, **opts):
     cfg = SimConfig(n=n, frames=frames, warmup_frames=warmup, seed=seed)
-    dep = build_deployment(cfg)
-    gens = np.random.default_rng(seed).spawn(4)
-    relays = select_relays(dep, gens[2])
-    return sim_class(dep, relays, RunOptions(**opts), gens[3])
+    return prepare(cfg, RunOptions(**opts))
 
 
 # ======== segmentation count and gap helpers ========
@@ -390,7 +380,7 @@ def test_delivery_defers_to_preservation_regions():
     bundle.ready_frame = 3
     bundle.arrival_ticks = np.full(bundle.segments, 200, dtype=np.int64)
     sim.pending = [bundle]
-    hold = make_region("preservation", bundle.sink_cell, sim.gp, sim.gs)
+    hold = make_region(bundle.sink_cell, sim.gp, sim.gs)
     assert sim._deliver(3, [hold]) == []
     assert sim.pending == [bundle]
     assert len(sim._deliver(4, [])) == 1
@@ -405,11 +395,10 @@ def test_phase_mask_is_union_of_preservation_regions(n, k_p):
     assert sim.k_p == k_p
     assert sim.blocked.shape == (TICKS, sim.gs.cell_count)
     assert any(sim.phase_regions)
+    cells = np.arange(sim.gs.cell_count)
     for phase in range(TICKS):
-        union = np.zeros(sim.gs.cell_count, dtype=bool)
-        for region in sim.phase_regions[phase]:
-            union[region.secondary_cells(sim.k_s)] = True
-        assert np.array_equal(sim.blocked[phase], union)
+        rects = [r.secondary_rect() for r in sim.phase_regions[phase]]
+        assert np.array_equal(sim.blocked[phase], rect_blocked(cells, rects, sim.k_s))
 
 
 class ValueLog(RateReport):
@@ -425,8 +414,8 @@ class ValueLog(RateReport):
 
 
 def test_batched_audit_equals_per_hop_reference():
-    runs = [make_sim(n=128.0, seed=3, frames=96, warmup=16, sim_class=cls)
-            for cls in (TransportSim, ReferenceAuditSim)]
+    runs = [make_sim(n=128.0, seed=3, frames=96, warmup=16) for _ in range(2)]
+    use_reference_audit(runs[1])
     for sim in runs:
         sim.report = ValueLog()
         sim.run()
