@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-def hv_path_cells(src_cell: int, dst_cell: int, side_count: int) -> tuple[int, ...]:
+def hv_path_cells(src_cell: int, dst_cell: int, side_count: int) -> np.ndarray:
     """Flat cells of the horizontal-then-vertical path between two cells.
 
     The path has |dcol| + |drow| + 1 cells, both end cells included.
@@ -31,9 +31,9 @@ def hv_path_cells(src_cell: int, dst_cell: int, side_count: int) -> tuple[int, .
     dx, dy = divmod(dst_cell, k)
     step_x = 1 if dx >= sx else -1
     step_y = 1 if dy >= sy else -1
-    horiz = [x * k + sy for x in range(sx, dx + step_x, step_x)]
-    vert = [dx * k + y for y in range(sy + step_y, dy + step_y, step_y)]
-    return tuple(horiz + vert)
+    horiz = np.arange(sx, dx + step_x, step_x, dtype=np.int64) * k + sy
+    vert = dx * k + np.arange(sy + step_y, dy + step_y, step_y, dtype=np.int64)
+    return np.concatenate([horiz, vert])
 
 
 # ======== designated relays ========

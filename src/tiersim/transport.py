@@ -17,6 +17,10 @@ Secondary traffic is simulated for a sampled subset of pairs. Motion is
 exact per the cell schedule; rates are scaled by the fluid packet-size
 factor derived from the full-population path census, so the reported
 per-pair throughput reflects the load of the whole network, not the sample.
+Sampled packets are held as queue lengths, one per position of each pair's
+path: only a position's head packet hops, so a pair delivers in injection
+order, and a delivered packet's birth follows from how many the pair
+delivered before it.
 """
 
 from __future__ import annotations
@@ -194,7 +198,7 @@ class TransportSim:
                 self.pair_direct[i] = True
                 continue
             self.pair_relay_cell[i] = path[1]
-            key = (path[-2], path[-1])
+            key = (int(path[-2]), int(path[-1]))
             node = int_dest.get(key)
             if node is None:
                 members = sec_in_prim.members(key[0])
@@ -237,18 +241,22 @@ class TransportSim:
             sc = int(dep.secondary_cells[self.s_src[r]])
             path = self._relay_path(sc, int(dep.secondary_cells[self.s_dst[r]]))
             # a same-cell pair still takes one in-cell hop
-            paths.append(path * 2 if len(path) == 1 else path)
+            paths.append(np.repeat(path, 2) if len(path) == 1 else path)
         self.plen = np.array([len(p) for p in paths], dtype=np.int64)
         self.path_off = np.zeros(take, dtype=np.int64)
         np.cumsum(self.plen[:-1], out=self.path_off[1:])
-        self.path_flat = np.array([c for p in paths for c in p], dtype=np.int64)
+        self.path_flat = np.concatenate(paths) if take else np.empty(0, dtype=np.int64)
         self.birth_sigma = self.sigma_s[self.path_flat[self.path_off]]
 
-        cap = int(self.plen.max()) // INJECT_EVERY + 96 if take else 8
-        self._cap = cap
-        self.pos2 = np.full((take, cap), -1, dtype=np.int64)
-        self.birth2 = np.full((take, cap), -1, dtype=np.int64)
+        # q[i]: packets queued at one path position. Pair r owns
+        # q[path_off[r] : path_off[r] + plen[r]], laid out last position
+        # first, so flat order is (pair, eldest first) and a hop is i -> i - 1.
+        last_first = (np.repeat(2 * self.path_off + self.plen - 1, self.plen)
+                      - np.arange(len(self.path_flat)))
+        self.q_cell = self.path_flat[last_first]
+        self.q = np.zeros(len(self.path_flat), dtype=np.int32)  # half the bytes per pass
         self.cnt = np.zeros(take, dtype=np.int64)
+        self.out_s = np.zeros(take, dtype=np.int64)  # packets delivered per pair
         self.n_sampled = take
 
     def _setup_schedule(self) -> None:
@@ -273,12 +281,12 @@ class TransportSim:
         self.relay_row = np.full(self.gs.cell_count, -1, dtype=np.int64)
         self.relay_row[self.relay_cells] = np.arange(len(self.relay_cells))
 
-    def _relay_path(self, src_cell: int, dst_cell: int) -> tuple[int, ...]:
+    def _relay_path(self, src_cell: int, dst_cell: int) -> np.ndarray:
         """HV path on the secondary grid without interior cells that hold no relay."""
         raw = hv_path_cells(src_cell, dst_cell, self.k_s)
-        if len(raw) == 1:
-            return raw
-        return (raw[0], *(c for c in raw[1:-1] if self.sec_relay[c] >= 0), raw[-1])
+        keep = self.sec_relay[raw] >= 0
+        keep[0] = keep[-1] = True
+        return raw[keep]
 
     # ======== per-frame mechanics ========
 
@@ -326,8 +334,7 @@ class TransportSim:
             ids = self.rng.choice(members, size=self.n_relays, replace=False)
             lead = int(ids[self.rng.integers(self.n_relays)])
             lead_cell = int(self.dep.secondary_cells[lead])
-            path = np.array(self._relay_path(lead_cell, int(self.pair_int_dest_cell[pair])),
-                            dtype=np.int64)
+            path = self._relay_path(lead_cell, int(self.pair_int_dest_cell[pair]))
             bundle = SegmentBundle(
                 pair=pair, path=path, segments=self.n_relays, born=t,
                 lead_pos=self.sec_pos[lead].copy(),
@@ -345,61 +352,51 @@ class TransportSim:
         self._packet_seq += 1
         return self._packet_seq
 
-    def _grow(self) -> None:
-        cap = self._cap * 2
-        for name in ("pos2", "birth2"):
-            old = getattr(self, name)
-            new = np.full((self.n_sampled, cap), -1, dtype=np.int64)
-            new[:, : self._cap] = old
-            setattr(self, name, new)
-        self._cap = cap
-
     def _inject(self, t: int) -> None:
+        """Every sampled pair queues one packet at its first path position."""
         if self.n_sampled == 0 or t % INJECT_EVERY:
             return
-        if (self.cnt >= self._cap).any():
-            self._grow()
-        rows = np.arange(self.n_sampled)
-        self.pos2[rows, self.cnt] = 0
-        self.birth2[rows, self.cnt] = TICKS * t + self.birth_sigma
+        self.q[self.path_off + self.plen - 1] += 1
         self.cnt += 1
         self.injected_s += self.n_sampled
 
     def _advance_secondary(self, t: int, blocked: np.ndarray) -> tuple:
-        """Subframe 1: one hop per unblocked cell per path, eldest packet first."""
+        """Subframe 1: one hop per unblocked cell per path, eldest packet first.
+
+        Only a position's head packet hops, so a pair's packets never
+        overtake each other: the k-th delivered was the k-th injected, born
+        in frame INJECT_EVERY * k, and no per-packet birth is stored.
+        """
         if self.n_sampled == 0:
             return NO_HOPS
-        pos = self.pos2
-        occ = pos >= 0
-        idx = self.path_off[:, None] + np.clip(pos, 0, None)
-        cells = self.path_flat[idx]
-        lead = occ.copy()
-        lead[:, 1:] &= pos[:, 1:] != pos[:, :-1]
-        move = lead & ~blocked[cells]
-        prev_cells = cells[:, 0].copy()
-        pos += move
+        q = self.q
+        move = (q > 0) & ~blocked[self.q_cell]
+        q -= move
+        # a pair's last position is emptied every frame, so no hop crosses blocks
+        q[:-1] += move[1:]
         if self._logging(t):
-            self._log_tx(t, cells[move])
+            self._log_tx(t, self.q_cell[move])
 
         moved_hops = NO_HOPS
         if self._in_audit(t):
             first = np.flatnonzero(move)[:AUDIT_HOPS_PER_FRAME]
-            rows, cols = np.divmod(first, move.shape[1])
-            newpos = pos[rows, cols]
-            at = self.path_off[rows] + newpos
-            prev = self.path_flat[at - 1]
-            new = self.path_flat[at]
-            tx = np.where((newpos == 1)[:, None], self.sec_pos[self.s_src[rows]],
-                          self.sec_pos[self.sec_relay[prev]])
-            rx = np.where((newpos == self.plen[rows] - 1)[:, None],
+            rows = np.searchsorted(self.path_off, first, side="right") - 1
+            prev = self.q_cell[first]
+            new = self.q_cell[first - 1]
+            tx = np.where((first == self.path_off[rows] + self.plen[rows] - 1)[:, None],
+                          self.sec_pos[self.s_src[rows]], self.sec_pos[self.sec_relay[prev]])
+            rx = np.where((first - 1 == self.path_off[rows])[:, None],
                           self.sec_pos[self.s_dst[rows]], self.sec_pos[self.sec_relay[new]])
             moved_hops = (tx, rx, prev)
 
-        done = occ[:, 0] & (pos[:, 0] == self.plen - 1)
-        rows = np.flatnonzero(done)
+        last = self.path_off
+        rows = np.flatnonzero(q[last])
         if len(rows):
-            arrival = TICKS * t + self.sigma_s[prev_cells[rows]] + 1
-            delays = arrival - self.birth2[rows, 0]
+            q[last[rows]] = 0
+            # the hop into the last position left the fixed penultimate cell
+            arrival = TICKS * t + self.sigma_s[self.q_cell[last[rows] + 1]] + 1
+            birth = TICKS * INJECT_EVERY * self.out_s[rows] + self.birth_sigma[rows]
+            delays = arrival - birth
             self.delivered_s += len(rows)
             if t >= self.cfg.warmup_frames:
                 self.delivered_s_post += len(rows)
@@ -407,12 +404,9 @@ class TransportSim:
             if self.opt.collect_records:
                 for j, r in enumerate(rows):
                     self.records.append(PacketRecord(
-                        self._next_id(), SECONDARY, int(self.birth2[r, 0]),
+                        self._next_id(), SECONDARY, int(birth[j]),
                         int(arrival[j]), int(self.plen[r]), 1))
-            self.pos2[rows, :-1] = self.pos2[rows, 1:]
-            self.pos2[rows, -1] = -1
-            self.birth2[rows, :-1] = self.birth2[rows, 1:]
-            self.birth2[rows, -1] = -1
+            self.out_s[rows] += 1
             self.cnt[rows] -= 1
         return moved_hops
 

@@ -1,0 +1,111 @@
+"""Per-packet secondary queues kept as the oracle for TransportSim's queue lengths.
+
+This is the secondary advance as it ran before queue lengths: every sampled
+pair owns one row of a (pairs, cap) slot matrix holding each live packet's
+path position (pos2) and birth tick (birth2), eldest first, and the matrix
+doubles its width when a row fills. The queue-length engine must reproduce
+its deliveries, delays, records, TX log and audited hops exactly.
+use_reference_queue installs it on one TransportSim instance.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
+
+from tiersim.deployment import SECONDARY
+from tiersim.scheduler import TICKS
+from tiersim.transport import (
+    AUDIT_HOPS_PER_FRAME,
+    INJECT_EVERY,
+    NO_HOPS,
+    PacketRecord,
+    TransportSim,
+)
+
+
+def use_reference_queue(sim: TransportSim) -> TransportSim:
+    """Make sim inject and advance sampled packets with the slot matrix."""
+    take = sim.n_sampled
+    cap = int(sim.plen.max()) // INJECT_EVERY + 96 if take else 8
+    sim._cap = cap
+    sim.pos2 = np.full((take, cap), -1, dtype=np.int64)
+    sim.birth2 = np.full((take, cap), -1, dtype=np.int64)
+    sim._inject = partial(reference_inject, sim)
+    sim._advance_secondary = partial(reference_advance, sim)
+    return sim
+
+
+def grow(sim: TransportSim) -> None:
+    cap = sim._cap * 2
+    for name in ("pos2", "birth2"):
+        old = getattr(sim, name)
+        new = np.full((sim.n_sampled, cap), -1, dtype=np.int64)
+        new[:, : sim._cap] = old
+        setattr(sim, name, new)
+    sim._cap = cap
+
+
+def reference_inject(sim: TransportSim, t: int) -> None:
+    if sim.n_sampled == 0 or t % INJECT_EVERY:
+        return
+    if (sim.cnt >= sim._cap).any():
+        grow(sim)
+    rows = np.arange(sim.n_sampled)
+    sim.pos2[rows, sim.cnt] = 0
+    sim.birth2[rows, sim.cnt] = TICKS * t + sim.birth_sigma
+    sim.cnt += 1
+    sim.injected_s += sim.n_sampled
+
+
+def reference_advance(sim: TransportSim, t: int, blocked: np.ndarray) -> tuple:
+    """Subframe 1: one hop per unblocked cell per path, eldest packet first."""
+    if sim.n_sampled == 0:
+        return NO_HOPS
+    pos = sim.pos2
+    occ = pos >= 0
+    idx = sim.path_off[:, None] + np.clip(pos, 0, None)
+    cells = sim.path_flat[idx]
+    lead = occ.copy()
+    lead[:, 1:] &= pos[:, 1:] != pos[:, :-1]
+    move = lead & ~blocked[cells]
+    prev_cells = cells[:, 0].copy()
+    pos += move
+    if sim._logging(t):
+        sim._log_tx(t, cells[move])
+
+    moved_hops = NO_HOPS
+    if sim._in_audit(t):
+        first = np.flatnonzero(move)[:AUDIT_HOPS_PER_FRAME]
+        rows, cols = np.divmod(first, move.shape[1])
+        newpos = pos[rows, cols]
+        at = sim.path_off[rows] + newpos
+        prev = sim.path_flat[at - 1]
+        new = sim.path_flat[at]
+        tx = np.where((newpos == 1)[:, None], sim.sec_pos[sim.s_src[rows]],
+                      sim.sec_pos[sim.sec_relay[prev]])
+        rx = np.where((newpos == sim.plen[rows] - 1)[:, None],
+                      sim.sec_pos[sim.s_dst[rows]], sim.sec_pos[sim.sec_relay[new]])
+        moved_hops = (tx, rx, prev)
+
+    done = occ[:, 0] & (pos[:, 0] == sim.plen - 1)
+    rows = np.flatnonzero(done)
+    if len(rows):
+        arrival = TICKS * t + sim.sigma_s[prev_cells[rows]] + 1
+        delays = arrival - sim.birth2[rows, 0]
+        sim.delivered_s += len(rows)
+        if t >= sim.cfg.warmup_frames:
+            sim.delivered_s_post += len(rows)
+            sim.delay_s_sum += float(delays.sum())
+        if sim.opt.collect_records:
+            for j, r in enumerate(rows):
+                sim.records.append(PacketRecord(
+                    sim._next_id(), SECONDARY, int(sim.birth2[r, 0]),
+                    int(arrival[j]), int(sim.plen[r]), 1))
+        sim.pos2[rows, :-1] = sim.pos2[rows, 1:]
+        sim.pos2[rows, -1] = -1
+        sim.birth2[rows, :-1] = sim.birth2[rows, 1:]
+        sim.birth2[rows, -1] = -1
+        sim.cnt[rows] -= 1
+    return moved_hops

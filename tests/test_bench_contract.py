@@ -1,8 +1,9 @@
 """The names the benchmark in perfbench/ relies on, held by the default suite.
 
 perfbench/spans.py wraps tiersim functions where their callers look them
-up, and perfbench/bench.py assembles a run point as run_point does. A rename
-or a change of run assembly that would break a benchmark run fails here.
+up and reads a stepped sim's queues, and perfbench/bench.py assembles a run
+point as run_point does. A rename, a change of run assembly or of the state
+the traced step reads that would break a benchmark run fails here.
 """
 
 import sys
@@ -14,7 +15,7 @@ import bench  # noqa: E402
 import spans  # noqa: E402
 
 from tiersim.deployment import SimConfig  # noqa: E402
-from tiersim.harness import run_point  # noqa: E402
+from tiersim.harness import prepare, run_point  # noqa: E402
 
 
 def test_traced_names_live_where_spans_patch_them():
@@ -27,3 +28,13 @@ def test_bench_assembly_matches_run_point():
     timed = bench.run_point_timed(config)
     assert timed.failures == []
     assert bench.results_digest([timed.result]) == bench.results_digest([run_point(config)])
+
+
+def test_traced_step_info_reads_live_state():
+    sim = prepare(SimConfig(n=128.0, frames=16, warmup_frames=4, seed=3))
+    for _ in range(8):
+        sim.step()
+    info = spans._step_info((sim,), None)
+    assert [type(x) for x in info] == [bool, int, int, int]
+    assert info[0]  # frame 7 lies in the audit window
+    assert info[3] == sim.injected_s - sim.delivered_s > 0

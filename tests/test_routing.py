@@ -19,20 +19,23 @@ def flat(x, y, k):
 def test_same_cell_path():
     k = 8
     path = hv_path_cells(flat(2, 3, k), flat(2, 3, k), k)
-    assert path == (flat(2, 3, k),)
+    assert len(path) == 1
+    assert np.array_equal(path, [flat(2, 3, k)])
 
 
 def test_horizontal_path():
     k = 8
     path = hv_path_cells(flat(0, 0, k), flat(3, 0, k), k)
-    assert path == tuple(flat(x, 0, k) for x in range(4))
+    assert len(path) == 4
+    assert np.array_equal(path, [flat(x, 0, k) for x in range(4)])
 
 
 def test_horizontal_then_vertical_path():
     k = 8
     path = hv_path_cells(flat(0, 0, k), flat(2, 2, k), k)
     expected = [flat(0, 0, k), flat(1, 0, k), flat(2, 0, k), flat(2, 1, k), flat(2, 2, k)]
-    assert path == tuple(expected)
+    assert len(path) == len(expected)
+    assert np.array_equal(path, expected)
 
 
 @given(

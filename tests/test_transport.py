@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audit_reference import rect_blocked, use_reference_audit
+from queue_reference import use_reference_queue
 
 from tiersim.deployment import ConfigurationError, SimConfig
 from tiersim.harness import prepare
@@ -196,10 +197,9 @@ def open_cells(sim):
     return np.zeros(sim.gs.cell_count, dtype=bool)
 
 
-def clear_secondary(sim):
-    sim.pos2[:] = -1
-    sim.birth2[:] = -1
-    sim.cnt[:] = 0
+def queue_index(sim, row, position):
+    """Index into sim.q of one path position of one sampled pair."""
+    return sim.path_off[row] + sim.plen[row] - 1 - position
 
 
 def longest_row(sim):
@@ -208,12 +208,10 @@ def longest_row(sim):
 
 def test_hop_count_equals_path_length_minus_one():
     sim = make_sim(warmup=0)
-    clear_secondary(sim)
     row = longest_row(sim)
     plen = int(sim.plen[row])
     assert plen >= 3
-    sim.pos2[row, 0] = 0
-    sim.birth2[row, 0] = 0
+    sim.q[queue_index(sim, row, 0)] = 1
     sim.cnt[row] = 1
     hops = 0
     while sim.delivered_s == 0:
@@ -225,47 +223,54 @@ def test_hop_count_equals_path_length_minus_one():
 
 def test_eldest_packet_moves_first():
     sim = make_sim(warmup=0)
-    clear_secondary(sim)
-    row = longest_row(sim)
-    plen = int(sim.plen[row])
-    # two packets queued on the same path cell; only the head may hop
-    sim.pos2[row, 0] = plen - 2
-    sim.pos2[row, 1] = plen - 2
-    sim.birth2[row, 0] = 10
-    sim.birth2[row, 1] = 20
-    sim.cnt[row] = 2
+    rows = np.arange(sim.n_sampled)
+    heads = queue_index(sim, rows, 0)
+    # two packets queued on every path's first cell; only the head may hop
+    sim._inject(0)
+    sim._inject(2)
+    assert (sim.q[heads] == 2).all()
 
-    last_cell = int(sim.path_flat[sim.path_off[row] + plen - 2])
-    sigma = int(sim.sigma_s[last_cell])
+    sim._advance_secondary(2, open_cells(sim))
+    # the elder left, the younger is now the head, still unmoved; a
+    # two-cell path delivers the elder in the same frame
+    assert (sim.q[heads] == 1).all()
+    assert np.array_equal(sim.q[queue_index(sim, rows, 1)], sim.plen > 2)
+    assert sim.delivered_s == np.count_nonzero(sim.plen == 2)
 
-    sim._advance_secondary(5, open_cells(sim))
-    assert sim.delivered_s == 1
-    # queue shifted left: the younger packet is now the head, still unmoved
-    assert sim.pos2[row, 0] == plen - 2
-    assert sim.birth2[row, 0] == 20
-
-    sim._advance_secondary(6, open_cells(sim))
-    assert sim.delivered_s == 2
-    first = (64 * 5 + sigma + 1) - 10
-    second = (64 * 6 + sigma + 1) - 20
-    assert sim.delay_s_sum == first + second
+    t = 3
+    while sim.delivered_s < 2 * sim.n_sampled:
+        sim._advance_secondary(t, open_cells(sim))
+        t += 1
+    # born at frames 0 and 2; the elder moves from frame 2 and arrives in
+    # frame plen, the younger trails it by one frame
+    plen = sim.plen
+    born = sim.sigma_s[sim.path_flat[sim.path_off]]
+    last = sim.sigma_s[sim.path_flat[sim.path_off + plen - 2]]
+    first = (64 * plen + last + 1) - born
+    second = (64 * (plen + 1) + last + 1) - (64 * 2 + born)
+    assert t == plen.max() + 2
+    assert sim.delay_s_sum == float((first + second).sum())
 
 
 def test_preservation_rect_freezes_traffic():
     sim = make_sim(warmup=0)
-    clear_secondary(sim)
-    row = longest_row(sim)
-    sim.pos2[row, 0] = 0
-    sim.birth2[row, 0] = 0
-    sim.cnt[row] = 1
+    heads = queue_index(sim, np.arange(sim.n_sampled), 0)
+    size = sim.q.size
     everything = np.ones(sim.gs.cell_count, dtype=bool)
     for t in range(20):
+        sim._inject(t)
         sim._advance_secondary(t, everything)
-    # a blanket blocked region starves the path; the packet queues, honestly
-    assert sim.pos2[row, 0] == 0
+    # a blanket blocked region starves every path; the packets queue, honestly
+    assert (sim.cnt == 10).all()
+    assert np.array_equal(sim.q[heads], sim.cnt)
     assert sim.delivered_s == 0
+    # the backlog sits in the counts, not in a wider queue array
+    assert sim.q.size == size
     sim._advance_secondary(20, open_cells(sim))
-    assert sim.pos2[row, 0] == 1
+    # one packet per path hops on; a two-cell path delivers it at once
+    assert (sim.q[heads] == 9).all()
+    assert np.array_equal(sim.q[heads - 1], sim.plen > 2)
+    assert sim.delivered_s == np.count_nonzero(sim.plen == 2)
 
 
 def craft_bundle(sim, pair, path_cells, born=0, pos=0):
@@ -426,3 +431,47 @@ def test_batched_audit_equals_per_hop_reference():
     # the minima hide single hops, so every audited value must match too
     for cat, values in reference.values.items():
         assert sorted(batched.values[cat]) == sorted(values)
+
+
+# ======== queue lengths against the per-packet reference ========
+
+
+def record_hops(sim):
+    """Keep every audited hop tuple that sim's secondary advance returns."""
+    log = []
+    advance = sim._advance_secondary
+
+    def recorded(t, blocked):
+        hops = advance(t, blocked)
+        log.append(hops)
+        return hops
+
+    sim._advance_secondary = recorded
+    return log
+
+
+def test_queue_lengths_equal_per_packet_reference():
+    runs = [make_sim(n=128.0, seed=3, frames=160, warmup=16, log_tx_frames=64,
+                     collect_records=True) for _ in range(2)]
+    counts, reference = runs
+    use_reference_queue(reference)
+    logs = [record_hops(sim) for sim in runs]
+    queued = 0
+    for t in range(160):
+        for sim in runs:
+            sim.step()
+        queued = max(queued, int(counts.q.max()))
+        assert counts.delivered_s == reference.delivered_s
+        assert counts.delay_s_sum == reference.delay_s_sum
+        assert np.array_equal(counts.cnt, reference.cnt)
+        for got, want in zip(logs[0][-1], logs[1][-1]):
+            assert np.array_equal(got, want)
+    # the run exercised head-of-line queues, the audit and the TX log
+    assert queued > 1
+    assert sum(len(h[2]) for h in logs[1]) > 0
+    assert reference.tx_log_cells
+    secondary = [[r for r in sim.records if r.tier == "secondary"] for sim in runs]
+    assert secondary[1]
+    assert secondary[0] == secondary[1]
+    tx_logs = [sorted(zip(sim.tx_log_frames, sim.tx_log_cells)) for sim in runs]
+    assert tx_logs[0] == tx_logs[1]
