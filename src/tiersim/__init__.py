@@ -37,10 +37,8 @@ from .phy import RateReport, sinr_at, tx_power
 from .transport import (
     PacketRecord,
     RunOptions,
-    SegmentBundle,
     TransportSim,
     relay_count,
-    segment_gap,
 )
 from .harness import (
     CSV_COLUMNS,

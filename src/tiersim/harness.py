@@ -465,14 +465,19 @@ def trace_packet(config: SimConfig, options: RunOptions | None = None) -> dict:
     roster wait, and handoff. The identity D_p = (3/64)*D_s_hat + C holds
     exactly by construction of the stamps.
     """
-    options = replace(options or RunOptions(), audit_frames=0, collect_records=True)
+    options = replace(options or RunOptions(), audit_frames=0)
     sim = prepare(config, options)
-    sim.run()
-    if not sim.delivered_bundles:
+    # delivery serves the roster in order, so the first carried packet is the
+    # first bundle of the roster the delivering frame started from
+    while not sim.delivered_carried and sim.frame < config.frames:
+        roster = sim.pending
+        sim.step()
+    if not sim.delivered_carried:
         raise RuntimeError("no carried primary packet was delivered; run longer")
-    b = sim.delivered_bundles[0]
-    d_p = 3 * (b.delivered_frame - b.born) + 2
-    carry_frames = b.arrival_frame - b.born
+    b = sim.table[roster[sim.table["delivered"][roster] >= 0][0]]
+    born, arrival, delivered = (int(b[name]) for name in ("born", "arrival", "delivered"))
+    d_p = 3 * (delivered - born) + 2
+    carry_frames = arrival - born
     d_s_hat = TICKS * carry_frames
     c = d_p - (3 / TICKS) * d_s_hat
     return {
@@ -480,9 +485,9 @@ def trace_packet(config: SimConfig, options: RunOptions | None = None) -> dict:
         "D_s_hat": float(d_s_hat),
         "C": float(c),
         "carry_frames": int(carry_frames),
-        "roster_and_admission_frames": int(b.delivered_frame - b.arrival_frame),
-        "path_cells": int(len(b.path)),
-        "segments": int(b.segments),
+        "roster_and_admission_frames": int(delivered - arrival),
+        "path_cells": int(b["length"]),
+        "segments": sim.n_relays,
     }
 
 

@@ -11,7 +11,10 @@ broadcasts one packet per activation; the packet is split into N segments
 picked up by relays in the next path cell, carried across the secondary grid
 as one atomic bundle, and handed to the destination inside an admitted
 collection region. Sources are saturated: an occupied cell transmits every
-time it is active, sources within a cell taking turns.
+time it is active, sources within a cell taking turns. Bundles are rows of
+one table indexed by bundle id in launch order, a bundle's path is a slice of
+one flat array of secondary cells, and the bundles in flight and the delivery
+roster are arrays of bundle ids.
 
 Secondary traffic is simulated for a sampled subset of pairs. Motion is
 exact per the cell schedule; rates are scaled by the fluid packet-size
@@ -45,10 +48,8 @@ from .scheduler import (
 __all__ = [
     "RunOptions",
     "PacketRecord",
-    "SegmentBundle",
     "TransportSim",
     "relay_count",
-    "segment_gap",
 ]
 
 INJECT_EVERY = 2           # secondary source period, frames per packet
@@ -65,14 +66,6 @@ def relay_count(m: float) -> int:
     if m <= 1:
         raise ConfigurationError(f"relay count needs secondary density > 1, got {m}")
     return max(1, int(math.sqrt(m / math.log(m))))
-
-
-def segment_gap(arrival_ticks: np.ndarray) -> int:
-    """Spread between first and last segment arrival of one bundle, in ticks."""
-    ticks = np.asarray(arrival_ticks)
-    if ticks.size == 0:
-        raise ValueError("bundle has no segment arrivals")
-    return int(ticks.max() - ticks.min())
 
 
 @dataclass(frozen=True)
@@ -95,23 +88,20 @@ class PacketRecord:
     segments: int
 
 
-@dataclass
-class SegmentBundle:
-    """One primary packet riding the secondary grid as N co-moving segments."""
+# one row per launched bundle: its pair, broadcast frame, lead relay node,
+# path slice into TransportSim.b_path, position on it, and the frames it
+# arrived (joined the roster) and was delivered, -1 until then
+BUNDLE = np.dtype([(name, np.int64) for name in (
+    "pair", "born", "lead", "off", "length", "pos", "arrival", "delivered")])
 
-    pair: int
-    path: np.ndarray          # secondary cells, lead relay's cell .. int-dest's cell
-    segments: int
-    born: int                 # broadcast frame
-    lead_pos: np.ndarray      # lead relay position, the first transmitter
-    sink_cell: int            # destination primary cell
-    dst_node: int
-    int_dest: int             # secondary node handing the packet over
-    pos: int = 0
-    arrival_frame: int = -1
-    delivered_frame: int = -1
-    arrival_ticks: np.ndarray | None = None
-    ready_frame: int = -1
+
+def _grow(a: np.ndarray, size: int) -> np.ndarray:
+    """a when it holds size entries, else a copy at least twice as long."""
+    if size <= len(a):
+        return a
+    out = np.empty(max(size, 2 * len(a)), dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 class TransportSim:
@@ -160,13 +150,13 @@ class TransportSim:
         self.delay_p_sum = 0.0
         self.delivered_carried_post = 0
         self.wait_sum = 0.0
-        self.gap_ok = 0
-        self.gap_total = 0
-        self.max_gap = 0
-        self.bundles: list[SegmentBundle] = []
-        self.pending: list[SegmentBundle] = []
+        self.table = np.empty(64, dtype=BUNDLE)
+        self.n_launched = 0
+        self.b_path = np.empty(4096, dtype=np.int64)
+        self.b_path_end = 0
+        self.bundles = np.empty(0, dtype=np.int64)   # in flight, launch order
+        self.pending = np.empty(0, dtype=np.int64)   # roster, arrival order
         self.records: list[PacketRecord] = []
-        self.delivered_bundles: list[SegmentBundle] = []
         self.report = phy.RateReport()
         self._audited_broadcasts = 0
         self._packet_seq = 0
@@ -302,7 +292,8 @@ class TransportSim:
         return self.cfg.warmup_frames <= t < self.cfg.warmup_frames + self.opt.audit_frames
 
     def _broadcast(self, t: int) -> list:
-        """Every active source cell emits one packet; returns this frame's TX list."""
+        """Every active source cell emits one packet; returns (transmitter,
+        receivers) per emission."""
         events = []
         for cell in self.phase_cells[t % TICKS]:
             k = self._rr[cell] % self._src_counts[cell]
@@ -317,7 +308,7 @@ class TransportSim:
                 dst_pos = self.pri_pos[self.pairs_p[pair, 1]]
                 # a direct handoff is a broadcast-slot reception, so it is
                 # audited with the primary receptions, not the region deliveries
-                events.append((src_pos, dst_pos[None, :], "primary", pair))
+                events.append((src_pos, dst_pos[None, :]))
                 if self.opt.collect_records:
                     self.records.append(PacketRecord(
                         self._next_id(), PRIMARY, 3 * t, 3 * t + 2,
@@ -334,19 +325,26 @@ class TransportSim:
             ids = self.rng.choice(members, size=self.n_relays, replace=False)
             lead = int(ids[self.rng.integers(self.n_relays)])
             lead_cell = int(self.dep.secondary_cells[lead])
-            path = self._relay_path(lead_cell, int(self.pair_int_dest_cell[pair]))
-            bundle = SegmentBundle(
-                pair=pair, path=path, segments=self.n_relays, born=t,
-                lead_pos=self.sec_pos[lead].copy(),
-                sink_cell=int(self.pair_sink[pair]),
-                dst_node=int(self.pairs_p[pair, 1]),
-                int_dest=int(self.pair_int_dest[pair]))
-            if len(path) == 1:
-                self._bundle_arrived(bundle, t, int(path[0]))
-            else:
-                self.bundles.append(bundle)
-            events.append((src_pos, self.sec_pos[ids], "primary", pair))
+            self._launch(t, pair, lead,
+                         self._relay_path(lead_cell, int(self.pair_int_dest_cell[pair])))
+            events.append((src_pos, self.sec_pos[ids]))
         return events
+
+    def _launch(self, t: int, pair: int, lead: int, path: np.ndarray) -> int:
+        """Add one bundle to the table and return its id; a bundle on a
+        one-cell path arrives at once."""
+        b, off = self.n_launched, self.b_path_end
+        self.table = _grow(self.table, b + 1)
+        self.b_path = _grow(self.b_path, off + len(path))
+        self.b_path[off : off + len(path)] = path
+        arrived = len(path) == 1
+        self.table[b] = (pair, t, lead, off, len(path), 0, t if arrived else -1, -1)
+        self.n_launched, self.b_path_end = b + 1, off + len(path)
+        if arrived:
+            self.pending = np.append(self.pending, b)
+        else:
+            self.bundles = np.append(self.bundles, b)
+        return b
 
     def _next_id(self) -> int:
         self._packet_seq += 1
@@ -410,95 +408,89 @@ class TransportSim:
             self.cnt[rows] -= 1
         return moved_hops
 
-    def _bundle_arrived(self, b: SegmentBundle, t: int, last_cell: int) -> None:
-        b.arrival_frame = t
-        tick = TICKS * t + int(self.sigma_s[last_cell]) + 1
-        b.arrival_ticks = np.full(b.segments, tick, dtype=np.int64)
-        b.ready_frame = t + 1  # joins the delivery roster next frame
-        self.pending.append(b)
-
     def _advance_bundles(self, t: int, blocked: np.ndarray) -> tuple:
         """Subframe 2: bundles hop atomically, one bundle per cell per pair."""
-        audit = self._in_audit(t)
-        logged = self._logging(t)
-        tx, rx, sent = [], [], []
-        still: list[SegmentBundle] = []
-        taken: set[tuple[int, int]] = set()
-        for b in self.bundles:
-            if b.born == t:  # segments only land by the end of the broadcast slot
-                still.append(b)
-                continue
-            cell = int(b.path[b.pos])
-            key = (cell, b.pair)
-            if key in taken or blocked[cell]:
-                still.append(b)
-                continue
-            taken.add(key)
-            b.pos += 1
-            if logged:
-                self._log_tx(t, (cell,))
-            new_cell = int(b.path[b.pos])
-            if audit:
-                tx.append(b.lead_pos if b.pos == 1 else self.sec_pos[self.sec_relay[cell]])
-                rx.append(self.sec_pos[b.int_dest] if b.pos == len(b.path) - 1
-                          else self.sec_pos[self.sec_relay[new_cell]])
-                sent.append(cell)
-            if b.pos == len(b.path) - 1:
-                self._bundle_arrived(b, t, cell)
-            else:
-                still.append(b)
-        self.bundles = still
-        if not sent:
+        tab = self.table
+        ids = self.bundles
+        if not len(ids):
             return NO_HOPS
-        return np.array(tx), np.array(rx), np.array(sent, dtype=np.int64)
+        at = tab["off"][ids] + tab["pos"][ids]
+        cells = self.b_path[at]
+        pairs = tab["pair"][ids]
+        # segments only land by the end of the broadcast slot
+        hop = np.flatnonzero((tab["born"][ids] != t) & ~blocked[cells])
+        # one bundle per (cell, pair) hops, the earliest launched
+        key = cells[hop] * self.n_pairs_p + pairs[hop]
+        if len(set(key.tolist())) < len(key):
+            _, first = np.unique(key, return_index=True)
+            hop = hop[np.sort(first)]
+        moved = ids[hop]
+        sent = cells[hop]
+        pos = tab["pos"][moved] + 1
+        tab["pos"][moved] = pos
+        arrived = pos == tab["length"][moved] - 1
+        if self._logging(t):
+            self._log_tx(t, sent)
+        done = moved[arrived]
+        if len(done):
+            tab["arrival"][done] = t  # joins the delivery roster next frame
+            self.pending = np.concatenate([self.pending, done])
+            self.bundles = ids[tab["arrival"][ids] < 0]
+        if not len(hop) or not self._in_audit(t):
+            return NO_HOPS
+        new_cell = self.b_path[at[hop] + 1]
+        tx = np.where((pos == 1)[:, None], self.sec_pos[tab["lead"][moved]],
+                      self.sec_pos[self.sec_relay[sent]])
+        rx = np.where(arrived[:, None], self.sec_pos[self.pair_int_dest[pairs[hop]]],
+                      self.sec_pos[self.sec_relay[new_cell]])
+        return tx, rx, sent
 
     def _deliver(self, t: int, regions) -> list:
         """Subframe 3: greedy disjoint collection regions, one packet per sink node."""
-        ready = [b for b in self.pending if b.ready_frame <= t]
-        if not ready:
+        if not len(self.pending):
             return []
-        sinks = np.array(sorted({b.sink_cell for b in ready}), dtype=np.int64)
-        admitted = place_collection_regions(sinks, regions, self.gp, self.gs)
+        tab = self.table
+        ready = self.pending[tab["arrival"][self.pending] < t]  # arrived before this frame
+        if not len(ready):
+            return []
+        pairs = tab["pair"][ready]
+        sinks = self.pair_sink[pairs]
+        admitted = place_collection_regions(sinks.tolist(), regions, self.gp, self.gs)
         if not admitted:
             return []
-        open_sinks = {r.center for r in admitted}
+        open_sink = np.zeros(self.gp.cell_count, dtype=bool)
+        open_sink[[r.center for r in admitted]] = True
+        dst = self.pairs_p[pairs, 1].tolist()
+        int_dest = self.pair_int_dest[pairs].tolist()
         served: set[int] = set()
         busy_tx: set[int] = set()
-        delivered = []
-        for b in ready:
-            if (b.sink_cell not in open_sinks or b.dst_node in served
-                    or b.int_dest in busy_tx):
+        take = []
+        # greedy in roster order: only a served bundle reserves its sink node and int-dest
+        for j in np.flatnonzero(open_sink[sinks]).tolist():
+            if dst[j] in served or int_dest[j] in busy_tx:
                 continue
-            served.add(b.dst_node)
-            busy_tx.add(b.int_dest)
-            delivered.append(b)
-        if not delivered:
+            served.add(dst[j])
+            busy_tx.add(int_dest[j])
+            take.append(j)
+        if not take:
             return []
-        events = []
-        done = set()
-        for b in delivered:
-            done.add(id(b))
-            b.delivered_frame = t
-            self.delivered_carried += 1
-            if self._logging(t):
-                self._log_tx(t, (self.dep.secondary_cells[b.int_dest],))
-            gap = segment_gap(b.arrival_ticks)
-            self.gap_total += 1
-            self.gap_ok += gap <= TICKS
-            self.max_gap = max(self.max_gap, gap)
-            if t >= self.cfg.warmup_frames:
-                self.delivered_carried_post += 1
-                self.delay_p_sum += 3 * (t - b.born) + 2
-                self.wait_sum += t - b.arrival_frame
-            if self.opt.collect_records:
-                self.delivered_bundles.append(b)
+        done = ready[take]
+        tab["delivered"][done] = t
+        self.pending = self.pending[tab["delivered"][self.pending] < 0]
+        self.delivered_carried += len(done)
+        if self._logging(t):
+            self._log_tx(t, self.pair_int_dest_cell[pairs[take]])
+        born = tab["born"][done]
+        if t >= self.cfg.warmup_frames:
+            self.delivered_carried_post += len(done)
+            self.delay_p_sum += float((3 * (t - born) + 2).sum())
+            self.wait_sum += float((t - tab["arrival"][done]).sum())
+        if self.opt.collect_records:
+            for b_born, length in zip(born.tolist(), tab["length"][done].tolist()):
                 self.records.append(PacketRecord(
-                    self._next_id(), PRIMARY, 3 * b.born, 3 * t + 2,
-                    len(b.path), b.segments))
-            events.append((self.sec_pos[b.int_dest], self.pri_pos[b.dst_node],
-                           b.sink_cell))
-        self.pending = [b for b in self.pending if id(b) not in done]
-        return events
+                    self._next_id(), PRIMARY, 3 * b_born, 3 * t + 2, length,
+                    self.n_relays))
+        return [(self.sec_pos[int_dest[j]], self.pri_pos[dst[j]], sinks[j]) for j in take]
 
     # ======== SINR audit ========
 
@@ -527,7 +519,7 @@ class TransportSim:
 
         if self._audited_broadcasts >= AUDIT_BROADCASTS:
             return
-        for j, (src_pos, rx_all, category, _pair) in enumerate(broadcasts):
+        for j, (src_pos, rx_all) in enumerate(broadcasts):
             if self._audited_broadcasts >= AUDIT_BROADCASTS:
                 break
             self._audited_broadcasts += 1
@@ -548,7 +540,7 @@ class TransportSim:
             s = phy.sinr_at(rx, np.asarray(src_pos, dtype=float), self.p_p,
                             int_pos, int_pow, noise, alpha)
             worst = np.minimum(worst, s)
-            self.report.record(category, worst)
+            self.report.record("primary", worst)
 
     def _audit_hops(self, hops, live, live_rows, bounds, bc_pos) -> None:
         """Every secondary hop against its tick's other live cells and the broadcasts.
@@ -640,9 +632,9 @@ class TransportSim:
                              if self.delivered_carried_post else float("nan")),
             "census_max": self.census_max,
             "packet_size_factor": self.packet_size_factor,
-            "segment_gap_within_frame": (self.gap_ok / self.gap_total
-                                         if self.gap_total else float("nan")),
-            "segment_gap_max": self.max_gap,
+            # all N segments ride the lead relay's path and land on one tick
+            "segment_gap_within_frame": 1.0 if self.delivered_carried else float("nan"),
+            "segment_gap_max": 0,
             "low_confidence": (self.delivered_s_post < 30
                                or self.delivered_carried_post < 30),
             "audit_samples": dict(self.report.samples),

@@ -96,7 +96,7 @@ def reference_audit_frame(sim: TransportSim, t, broadcasts, hops, deliveries) ->
 
     if sim._audited_broadcasts >= AUDIT_BROADCASTS:
         return
-    for j, (src_pos, rx_all, category, _pair) in enumerate(broadcasts):
+    for j, (src_pos, rx_all) in enumerate(broadcasts):
         if sim._audited_broadcasts >= AUDIT_BROADCASTS:
             break
         sim._audited_broadcasts += 1
@@ -116,4 +116,4 @@ def reference_audit_frame(sim: TransportSim, t, broadcasts, hops, deliveries) ->
         s = sinr_at(rx, np.asarray(src_pos, dtype=float), sim.p_p,
                     int_pos, int_pow, noise, alpha)
         worst = np.minimum(worst, s)
-        sim.report.record(category, worst)
+        sim.report.record("primary", worst)

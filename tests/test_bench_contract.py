@@ -31,10 +31,15 @@ def test_bench_assembly_matches_run_point():
 
 
 def test_traced_step_info_reads_live_state():
-    sim = prepare(SimConfig(n=128.0, frames=16, warmup_frames=4, seed=3))
-    for _ in range(8):
+    sim = prepare(SimConfig(n=128.0, frames=64, warmup_frames=4, seed=3))
+    while not (len(sim.pending) and len(sim.bundles)):
+        assert sim.frame < sim.cfg.frames, "no frame had bundles in flight and on the roster"
         sim.step()
     info = spans._step_info((sim,), None)
     assert [type(x) for x in info] == [bool, int, int, int]
-    assert info[0]  # frame 7 lies in the audit window
+    assert info[0]  # the frame lies in the audit window
+    assert info[1] == len(sim.pending)
+    assert info[2] == len(sim.bundles)
+    assert info[1] + info[2] == (sim.injected_p - sim.delivered_direct
+                                 - sim.delivered_carried - sim.dropped_p)
     assert info[3] == sim.injected_s - sim.delivered_s > 0
