@@ -1,0 +1,65 @@
+"""Time one run's set-up at a large n and report its peak memory.
+
+    PYTHONPATH=src python3 scripts/setup_probe.py --n 4096 --seed 0
+
+Builds one run with harness.prepare (deployment, relays, TransportSim),
+steps it for --frames frames, and prints one JSON line: setup_s (host
+seconds of prepare), peak_rss_mb (ru_maxrss of this process when the frames
+are done), the node counts, and a digest of the set-up state (primary pair
+paths and int-dests, relays, cell orders, census maximum) that must not
+change when set-up is only made faster. Run one size per process, so that
+each peak is its own.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import time
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from tiersim.deployment import SimConfig  # noqa: E402
+from tiersim.harness import prepare  # noqa: E402
+
+
+def setup_digest(sim) -> str:
+    h = hashlib.sha256()
+    dep = sim.dep
+    for a in (sim.pair_path_len, sim.pair_direct, sim.pair_relay_cell,
+              sim.pair_int_dest, sim.pair_int_dest_cell,
+              sim.relays.primary_relay, sim.relays.secondary_relay,
+              dep.primary_index.order, dep.secondary_index.order,
+              dep.secondary_index_primary_grid.order):
+        h.update(memoryview(a))
+    h.update(str(sim.census_max).encode())
+    return h.hexdigest()[:16]
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--n", type=float, required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--frames", type=int, default=64)
+    args = ap.parse_args()
+    cfg = SimConfig(n=args.n, frames=args.frames, warmup_frames=args.frames // 2,
+                    seed=args.seed)
+    t0 = time.perf_counter()
+    sim = prepare(cfg)
+    setup_s = time.perf_counter() - t0
+    sim.run()
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({
+        "n": args.n, "seed": args.seed, "frames": args.frames,
+        "k_p": sim.k_p, "k_s": sim.k_s,
+        "primaries": len(sim.pri_pos), "secondaries": len(sim.sec_pos),
+        "setup_s": round(setup_s, 4), "peak_rss_mb": round(peak_mb, 1),
+        "digest": setup_digest(sim),
+    }))
+
+
+if __name__ == "__main__":
+    main()

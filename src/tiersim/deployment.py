@@ -10,6 +10,7 @@ source-destination pairs.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +106,8 @@ class CellGrid:
     def cell_of(self, positions: np.ndarray) -> np.ndarray:
         """Flat cell index for each (x, y) row; points on 1.0 clip inward."""
         k = self.side_count
-        ij = np.minimum((positions * k).astype(np.int64), k - 1)
+        ij = (positions * k).astype(np.int64)
+        np.minimum(ij, k - 1, out=ij)
         return ij[:, 0] * k + ij[:, 1]
 
     def center(self, cell: int) -> tuple[float, float]:
@@ -196,13 +198,22 @@ def pair_sd(count: int, seed) -> np.ndarray:
 
 # ======== deployment ========
 
+# peak RSS per secondary node: the rise from n = 2048 to 4096 (301 to 1093 MB)
+# over the rise in m (4.19 M to 16.78 M), from scripts/setup_probe.py (BENCH_8.json)
+SECONDARY_NODE_BYTES = 66
+
 
 class CellIndex:
     """Sorted-order lookup of node ids per cell for one grid."""
 
     def __init__(self, cells: np.ndarray, cell_count: int):
         self.counts = np.bincount(cells, minlength=cell_count)
-        self.order = np.argsort(cells, kind="stable")
+        # np.argsort(cells, kind="stable") as 16-bit radix passes, low bits
+        # first: numpy radix-sorts 16-bit keys, and a stable order is unique
+        self.order = np.argsort(cells.astype(np.uint16), kind="stable")
+        if cell_count > 1 << 16:
+            high = (cells[self.order] >> 16).astype(np.uint16)
+            self.order = self.order[np.argsort(high, kind="stable")]
         self.starts = np.concatenate([[0], np.cumsum(self.counts)])
 
     def members(self, cell: int) -> np.ndarray:
@@ -260,6 +271,12 @@ def build_deployment(config: SimConfig) -> Deployment:
 
     _, p_grid = primary_cell_area(config.n, config.ap_scale)
     _, s_grid = secondary_cell_area(config.n, config.beta, p_grid.cell_area)
+    need = config.m * SECONDARY_NODE_BYTES
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigurationError(
+            f"m={config.m:.4g} secondary nodes need about {need / 2**20:.0f} MB "
+            f"at set-up, more than the {have / 2**20:.0f} MB of physical memory")
 
     primary_pos = sample_ppp(config.n, g_deploy)
     secondary_pos = sample_ppp(config.m, g_deploy)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy
-from .deployment import PRIMARY, SECONDARY, ConfigurationError, Deployment
+from .deployment import PRIMARY, SECONDARY, CellIndex, ConfigurationError, Deployment
 from .routing import RelayAssignment, hv_path_cells, path_load_census
 from .scheduler import (
     TICKS,
@@ -56,6 +56,7 @@ INJECT_EVERY = 2           # secondary source period, frames per packet
 AUDIT_BROADCASTS = 64      # broadcasts fully audited across all ticks
 AUDIT_RX_CAP = 64          # relay receivers sampled per audited broadcast
 AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
+CENSUS_CHUNK = 1 << 16     # secondary pairs per path-load census pass
 
 # audited hops as (transmitter (H,2), receiver (H,2), sending cell (H,)) arrays
 NO_HOPS = (np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
@@ -172,53 +173,51 @@ class TransportSim:
         self.n_pairs_p = len(pairs)
         src_cells = dep.primary_cells[pairs[:, 0]]
         dst_cells = dep.primary_cells[pairs[:, 1]]
-        self.pair_path_len = np.zeros(self.n_pairs_p, dtype=np.int64)
-        self.pair_direct = np.zeros(self.n_pairs_p, dtype=bool)
-        self.pair_relay_cell = np.full(self.n_pairs_p, -1, dtype=np.int64)
-        self.pair_int_dest = np.full(self.n_pairs_p, -1, dtype=np.int64)
-        self.pair_int_dest_cell = np.full(self.n_pairs_p, -1, dtype=np.int64)
         self.pair_sink = dst_cells.astype(np.int64)
-        sec_in_prim = dep.secondary_index_primary_grid
-        # the handover node depends only on (penultimate cell, sink cell)
-        int_dest: dict[tuple[int, int], int] = {}
-        for i in range(self.n_pairs_p):
-            path = hv_path_cells(int(src_cells[i]), int(dst_cells[i]), self.k_p)
-            self.pair_path_len[i] = len(path)
-            if len(path) <= 2:
-                self.pair_direct[i] = True
-                continue
-            self.pair_relay_cell[i] = path[1]
-            key = (int(path[-2]), int(path[-1]))
-            node = int_dest.get(key)
-            if node is None:
-                members = sec_in_prim.members(key[0])
-                node = -1
-                if len(members):
-                    center = self.gp.center(key[1])
-                    d2 = ((self.sec_pos[members] - center) ** 2).sum(axis=1)
-                    node = int(members[np.argmin(d2)])
-                int_dest[key] = node
-            if node < 0:
-                continue  # stays unservable, packets will be counted as drops
-            self.pair_int_dest[i] = node
-            self.pair_int_dest_cell[i] = dep.secondary_cells[node]
+        # hv_path_cells in closed form: its length, path[1] and path[-2]
+        k, cell_count = self.k_p, self.gp.cell_count
+        sx, sy = np.divmod(src_cells, k)
+        dx, dy = np.divmod(dst_cells, k)
+        step_x, step_y = np.sign(dx - sx), np.sign(dy - sy)
+        self.pair_path_len = np.abs(dx - sx) + np.abs(dy - sy) + 1
+        self.pair_direct = self.pair_path_len <= 2
+        carried = ~self.pair_direct
+        relay = np.where(step_x != 0, src_cells + step_x * k, src_cells + step_y)
+        penult = np.where(step_y != 0, dst_cells - step_y, dst_cells - step_x * k)
+        self.pair_relay_cell = np.where(carried, relay, -1)
+        # the handover node depends only on (penultimate cell, sink cell): the
+        # penultimate cell's member nearest the sink cell's centre, the first
+        # in member order on a tie
+        keys, key_of = np.unique(penult[carried] * cell_count + dst_cells[carried],
+                                 return_inverse=True)
+        sec = dep.secondary_index_primary_grid
+        node = np.full(len(keys), -1, dtype=np.int64)
+        cell = -1
+        for j, (pen, sink) in enumerate(zip(*np.divmod(keys, cell_count))):
+            if pen != cell:  # keys come sorted by penultimate cell
+                cell, members = pen, sec.members(pen)
+                pos = np.take(self.sec_pos, members, axis=0)
+            if len(members):
+                cx, cy = self.gp.center(int(sink))
+                ddx, ddy = pos[:, 0] - cx, pos[:, 1] - cy
+                node[j] = members[np.argmin(ddx * ddx + ddy * ddy)]
+        # a pair without a handover node stays unservable: its packets are drops
+        self.pair_int_dest = np.full(self.n_pairs_p, -1, dtype=np.int64)
+        self.pair_int_dest[carried] = node[key_of]
+        self.pair_int_dest_cell = np.where(self.pair_int_dest >= 0,
+                                           dep.secondary_cells[self.pair_int_dest], -1)
 
-        # sources grouped by their cell, with a round-robin cursor per cell
-        order = np.argsort(src_cells, kind="stable")
-        counts = np.bincount(src_cells, minlength=self.gp.cell_count)
-        starts = np.zeros(self.gp.cell_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        self._src_order = order
-        self._src_starts = starts
-        self._src_counts = counts
-        self._rr = np.zeros(self.gp.cell_count, dtype=np.int64)
+        # pairs grouped by their source's cell, with a round-robin cursor per cell
+        self.sources = CellIndex(src_cells, cell_count)
+        self._rr = np.zeros(cell_count, dtype=np.int64)
 
     def _setup_secondary(self) -> None:
         dep = self.dep
         pairs = dep.secondary_pairs
         self.n_pairs_s = len(pairs)
-        pair_cells = dep.secondary_cells[pairs] if len(pairs) else np.empty((0, 2), np.int64)
-        census = path_load_census(pair_cells, self.k_s)
+        # integer counts sum exactly, so chunks bound the census temporaries
+        census = sum(path_load_census(dep.secondary_cells[pairs[i : i + CENSUS_CHUNK]], self.k_s)
+                     for i in range(0, self.n_pairs_s, CENSUS_CHUNK))
         self.census_max = int(census.max()) if self.n_pairs_s else 0
         self.packet_size_factor = 1.0 / self.census_max if self.census_max else float("nan")
 
@@ -250,7 +249,7 @@ class TransportSim:
         self.n_sampled = take
 
     def _setup_schedule(self) -> None:
-        occupied = np.flatnonzero(self._src_counts > 0)
+        occupied = np.flatnonzero(self.sources.counts > 0)
         self.phase_cells: list[np.ndarray] = []
         self.phase_regions: list[list[Region]] = []
         # blocked[phase]: secondary cells silenced by that phase's preservation regions
@@ -296,9 +295,9 @@ class TransportSim:
         receivers) per emission."""
         events = []
         for cell in self.phase_cells[t % TICKS]:
-            k = self._rr[cell] % self._src_counts[cell]
+            k = self._rr[cell] % self.sources.counts[cell]
             self._rr[cell] += 1
-            pair = int(self._src_order[self._src_starts[cell] + k])
+            pair = int(self.sources.order[self.sources.starts[cell] + k])
             self.injected_p += 1
             src_pos = self.pri_pos[self.pairs_p[pair, 0]]
             if self.pair_direct[pair]:
@@ -460,26 +459,23 @@ class TransportSim:
             return []
         open_sink = np.zeros(self.gp.cell_count, dtype=bool)
         open_sink[[r.center for r in admitted]] = True
-        dst = self.pairs_p[pairs, 1].tolist()
-        int_dest = self.pair_int_dest[pairs].tolist()
-        served: set[int] = set()
-        busy_tx: set[int] = set()
-        take = []
-        # greedy in roster order: only a served bundle reserves its sink node and int-dest
-        for j in np.flatnonzero(open_sink[sinks]).tolist():
-            if dst[j] in served or int_dest[j] in busy_tx:
-                continue
-            served.add(dst[j])
-            busy_tx.add(int_dest[j])
-            take.append(j)
-        if not take:
+        # one packet per int-dest, the first ready in roster order. The pairs
+        # are a matching, so a sink node's one pair fixes its int-dest, and a
+        # busy sink node always means a busy int-dest.
+        take = np.flatnonzero(open_sink[sinks])
+        if not len(take):
             return []
-        done = ready[take]
+        int_dest = self.pair_int_dest[pairs[take]]
+        if len(set(int_dest.tolist())) < len(take):
+            _, first = np.unique(int_dest, return_index=True)
+            first.sort()
+            take, int_dest = take[first], int_dest[first]
+        done, pairs = ready[take], pairs[take]
         tab["delivered"][done] = t
         self.pending = self.pending[tab["delivered"][self.pending] < 0]
         self.delivered_carried += len(done)
         if self._logging(t):
-            self._log_tx(t, self.pair_int_dest_cell[pairs[take]])
+            self._log_tx(t, self.pair_int_dest_cell[pairs])
         born = tab["born"][done]
         if t >= self.cfg.warmup_frames:
             self.delivered_carried_post += len(done)
@@ -490,7 +486,8 @@ class TransportSim:
                 self.records.append(PacketRecord(
                     self._next_id(), PRIMARY, 3 * b_born, 3 * t + 2, length,
                     self.n_relays))
-        return [(self.sec_pos[int_dest[j]], self.pri_pos[dst[j]], sinks[j]) for j in take]
+        return list(zip(self.sec_pos[int_dest], self.pri_pos[self.pairs_p[pairs, 1]],
+                        sinks[take].tolist()))
 
     # ======== SINR audit ========
 

@@ -72,9 +72,9 @@ def reference_trace(sim: TransportSim) -> dict:
 def reference_broadcast(sim: TransportSim, t: int) -> list:
     events = []
     for cell in sim.phase_cells[t % TICKS]:
-        k = sim._rr[cell] % sim._src_counts[cell]
+        k = sim._rr[cell] % sim.sources.counts[cell]
         sim._rr[cell] += 1
-        pair = int(sim._src_order[sim._src_starts[cell] + k])
+        pair = int(sim.sources.order[sim.sources.starts[cell] + k])
         sim.injected_p += 1
         src_pos = sim.pri_pos[sim.pairs_p[pair, 0]]
         if sim.pair_direct[pair]:

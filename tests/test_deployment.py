@@ -1,14 +1,18 @@
 """Deployment sampling, grid sizing, and pairing."""
 
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tiersim import deployment
 from tiersim.deployment import (
+    SECONDARY_NODE_BYTES,
     CellGrid,
+    CellIndex,
     ConfigurationError,
     SimConfig,
     build_deployment,
@@ -225,6 +229,39 @@ def test_deployment_indexes_partition_nodes():
     for cell in range(dep.primary_grid.cell_count):
         members = dep.primary_index.members(cell)
         assert (dep.primary_cells[members] == cell).all()
+
+
+# cell ids whose low 16 bits collide often, alone or under a few high values
+LOW_BITS = st.integers(0, 3) | st.integers(0, (1 << 16) - 1)
+CELLS_BELOW = st.lists(LOW_BITS, max_size=200).map(lambda c: (c, 1 << 16))
+CELLS_ABOVE = st.lists(st.builds(lambda hi, lo: hi << 16 | lo, st.integers(0, 15), LOW_BITS),
+                       max_size=200).map(lambda c: (c, 16 << 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(CELLS_BELOW | CELLS_ABOVE)
+@example(([], 1))
+@example(([], 16 << 16))
+def test_cell_order_equals_stable_argsort(case):
+    cells, cell_count = case
+    cells = np.array(cells, dtype=np.int64)
+    index = CellIndex(cells, cell_count)
+    assert np.array_equal(index.order, np.argsort(cells, kind="stable"))
+
+
+def test_build_deployment_fails_early_beyond_physical_memory(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a node tier was drawn before the memory check")
+
+    monkeypatch.setattr(deployment, "sample_ppp", refuse)
+    cfg = SimConfig(n=2.0**20)
+    need = cfg.m * SECONDARY_NODE_BYTES
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert need > have
+    with pytest.raises(ConfigurationError) as err:
+        build_deployment(cfg)
+    assert f"{need / 2**20:.0f} MB" in str(err.value)
+    assert f"{have / 2**20:.0f} MB" in str(err.value)
 
 
 def test_deployment_refinement_consistency():

@@ -7,11 +7,14 @@ import pytest
 
 from audit_reference import rect_blocked, use_reference_audit
 from bundle_reference import reference_trace, use_reference_bundles
+from int_dest_reference import reference_primary_setup
 from queue_reference import use_reference_queue
 
+from tiersim import deployment
 from tiersim.deployment import ConfigurationError, SimConfig
 from tiersim.harness import prepare, trace_packet
 from tiersim.phy import RateReport
+from tiersim.routing import hv_path_cells
 from tiersim.scheduler import TICKS, make_region
 from tiersim.transport import RunOptions, relay_count
 
@@ -173,6 +176,44 @@ def test_dropped_when_no_interior_destination():
     assert sim.dropped_p > 0
     assert sim.delivered_carried == 0
     assert sim.delivered_direct > 0  # one-cell pairs never touch the carry tier
+
+
+# ======== primary path set-up ========
+
+
+def assert_primary_setup_equals_reference(sim):
+    for name, want in reference_primary_setup(sim.dep).items():
+        got = getattr(sim, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+# ap_scale 16 leaves fewer than 2 primary cells per side below n = 1024
+@pytest.mark.parametrize("n, ap_scale", [(64, 1), (256, 1), (256, 4), (1024, 1), (1024, 16)])
+def test_primary_setup_equals_per_pair_reference(n, ap_scale):
+    sim = prepare(SimConfig(n=n, ap_scale=ap_scale, frames=8, warmup_frames=0, seed=5))
+    assert (~sim.pair_direct).any()
+    assert_primary_setup_equals_reference(sim)
+
+
+def test_primary_setup_empty_penultimate_cell(monkeypatch):
+    cfg = SimConfig(n=256, frames=8, warmup_frames=0, seed=5)
+    sim = prepare(cfg)
+    pair = int(np.flatnonzero(~sim.pair_direct)[0])
+    src, dst = sim.dep.primary_cells[sim.pairs_p[pair]]
+    empty = int(hv_path_cells(int(src), int(dst), sim.k_p)[-2])
+    draw = deployment.sample_ppp
+
+    def secondaries_outside(density, seed):
+        pos = draw(density, seed)
+        if density != cfg.m:
+            return pos
+        return pos[sim.gp.cell_of(pos) != empty]
+
+    monkeypatch.setattr(deployment, "sample_ppp", secondaries_outside)
+    sim = prepare(cfg)
+    assert sim.dep.secondary_index_primary_grid.counts[empty] == 0
+    assert sim.pair_int_dest[pair] == -1 and sim.pair_int_dest_cell[pair] == -1
+    assert_primary_setup_equals_reference(sim)
 
 
 # ======== crafted single-subframe steps ========
