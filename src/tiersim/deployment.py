@@ -233,7 +233,6 @@ class Deployment:
     secondary_pairs: np.ndarray
     # flat cell index per node, on each grid that matters for its tier
     primary_cells: np.ndarray = field(repr=False, default=None)
-    secondary_cells_primary_grid: np.ndarray = field(repr=False, default=None)
     secondary_cells: np.ndarray = field(repr=False, default=None)
     primary_index: CellIndex = field(repr=False, default=None)
     secondary_index: CellIndex = field(repr=False, default=None)
@@ -297,7 +296,6 @@ def build_deployment(config: SimConfig) -> Deployment:
         primary_pairs=primary_pairs,
         secondary_pairs=secondary_pairs,
         primary_cells=primary_cells,
-        secondary_cells_primary_grid=sec_on_primary,
         secondary_cells=secondary_cells,
         primary_index=CellIndex(primary_cells, p_grid.cell_count),
         secondary_index=CellIndex(secondary_cells, s_grid.cell_count),

@@ -1,10 +1,12 @@
-"""Transmit power and the vectorized SINR of the audit.
+"""Transmit power, received power and the vectorized SINR of the audit.
 
 Packet motion never depends on these numbers: the transport layer moves
 packets per schedule, and the audit runs alongside to verify that every
 scheduled reception would sustain a positive constant rate. Power follows
 the cell-area rule P * a**(alpha/2), which makes the received power across
-one cell diagonal independent of the cell size.
+one cell diagonal independent of the cell size. received_power is the one
+place that evaluates P * d**(-alpha); interference_at and sinr_at sum and
+divide its blocks, and the broadcast audit slices one block per tick group.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 __all__ = [
     "RateReport",
     "tx_power",
+    "received_power",
     "interference_at",
     "sinr_at",
 ]
@@ -34,22 +37,38 @@ def tx_power(cell_area: float, power_const: float, alpha: float) -> float:
 # ======== SINR ========
 
 
+def received_power(rx_x, rx_y, tx_x, tx_y, power, alpha: float, who: str = "interferer"):
+    """power * d2**(-alpha/2) from each transmitter at each receiver, built in place.
+
+    The one form of received power. Coordinates broadcast as numpy arrays do:
+    (R,1) receivers against (T,) or (R,T) transmitters give an (R,T) block,
+    and power is a scalar or broadcasts against it. Raises ValueError if a
+    transmitter sits on its receiver.
+    """
+    d2 = np.subtract(rx_x, tx_x)
+    d2 *= d2
+    dy = np.subtract(rx_y, tx_y)
+    dy *= dy
+    d2 += dy
+    if (d2 <= 0).any():
+        raise ValueError(f"{who} co-located with receiver")
+    d2 **= -alpha / 2.0
+    d2 *= power
+    return d2
+
+
 def interference_at(
-    rx_pos: np.ndarray, tx_pos: np.ndarray, tx_power_w: np.ndarray, alpha: float
+    rx_pos: np.ndarray, tx_pos: np.ndarray, tx_power_w, alpha: float
 ) -> np.ndarray:
     """Summed interferer power at each of R receivers, as an (R,) array.
 
     tx_pos is one interferer set (T,2) heard by every receiver, or one row
-    per receiver (R,L,2); tx_power_w broadcasts the same way, (T,) or (R,L).
-    Each receiver's row is summed on its own, so a receiver gets the same
-    value in a batch as it would alone.
+    per receiver (R,L,2); tx_power_w is a scalar or broadcasts the same way,
+    (T,) or (R,L). Each receiver's row is summed on its own, so a receiver
+    gets the same value in a batch as it would alone.
     """
-    dx = rx_pos[:, 0, None] - tx_pos[..., 0]
-    dy = rx_pos[:, 1, None] - tx_pos[..., 1]
-    d2 = dx * dx + dy * dy
-    if (d2 <= 0).any():
-        raise ValueError("interferer co-located with receiver")
-    return (tx_power_w * d2 ** (-alpha / 2.0)).sum(axis=1)
+    return received_power(rx_pos[:, 0, None], rx_pos[:, 1, None],
+                          tx_pos[..., 0], tx_pos[..., 1], tx_power_w, alpha).sum(axis=1)
 
 
 def sinr_at(
@@ -57,7 +76,7 @@ def sinr_at(
     signal_tx: np.ndarray,
     signal_power: float,
     int_pos: np.ndarray,
-    int_power: np.ndarray,
+    int_power,
     noise: float,
     alpha: float,
 ) -> np.ndarray:
@@ -66,12 +85,8 @@ def sinr_at(
     signal_tx is one transmitter (2,) for all receivers or one per receiver
     (R,2); the interferers are shared or per receiver as in interference_at.
     """
-    dx = rx_pos[:, 0] - signal_tx[..., 0]
-    dy = rx_pos[:, 1] - signal_tx[..., 1]
-    d2 = dx * dx + dy * dy
-    if (d2 <= 0).any():
-        raise ValueError("receiver co-located with its transmitter")
-    signal = signal_power * d2 ** (-alpha / 2.0)
+    signal = received_power(rx_pos[:, 0], rx_pos[:, 1], signal_tx[..., 0], signal_tx[..., 1],
+                            signal_power, alpha, "transmitter")
     return signal / (noise + interference_at(rx_pos, int_pos, int_power, alpha))
 
 

@@ -55,6 +55,7 @@ __all__ = [
 INJECT_EVERY = 2           # secondary source period, frames per packet
 AUDIT_BROADCASTS = 64      # broadcasts fully audited across all ticks
 AUDIT_RX_CAP = 64          # relay receivers sampled per audited broadcast
+AUDIT_BLOCK_COLS = 512     # broadcast audit: one power block per run of ticks starting in 512 relays
 AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
 CENSUS_CHUNK = 1 << 16     # secondary pairs per path-load census pass
 
@@ -508,36 +509,42 @@ class TransportSim:
             # same-region deliveries take distinct ticks of the subframe,
             # so only other regions' transmitters interfere
             others = deliv_tx[sink_of != sink]
-            int_pos = np.vstack([others, bc_pos])
-            int_pow = np.full(len(int_pos), self.p_p)
             s = phy.sinr_at(rx_dst[None, :], np.asarray(tx_int_dest, dtype=float),
-                            self.p_p, int_pos, int_pow, noise, alpha)
+                            self.p_p, np.vstack([others, bc_pos]), self.p_p, noise, alpha)
             self.report.record("delivery", s)
 
-        if self._audited_broadcasts >= AUDIT_BROADCASTS:
+        if not broadcasts or self._audited_broadcasts >= AUDIT_BROADCASTS:
             return
+        # live relays as contiguous x, y columns, in groups of whole ticks that
+        # start in one AUDIT_BLOCK_COLS window, so a block is at most a tick wider
+        xs, ys = np.take(self.relay_tx_pos, live_rows, axis=0).T.copy()
+        edges = np.r_[0, np.flatnonzero(np.diff(bounds[:-1] // AUDIT_BLOCK_COLS)) + 1, TICKS]
+        cols = bounds.tolist()
         for j, (src_pos, rx_all) in enumerate(broadcasts):
             if self._audited_broadcasts >= AUDIT_BROADCASTS:
                 break
             self._audited_broadcasts += 1
             rx = rx_all[:AUDIT_RX_CAP]
+            rx_x, rx_y = rx[:, 0, None], rx[:, 1, None]
+            signal = phy.received_power(rx[:, 0], rx[:, 1], src_pos[0], src_pos[1],
+                                        self.p_p, alpha, "transmitter")
             other_bc = np.delete(bc_pos, j, axis=0)
-            worst = np.full(len(rx), np.inf)
-            for tick in range(TICKS):
-                rows = live_rows[bounds[tick] : bounds[tick + 1]]
-                int_pos = np.vstack([np.take(self.relay_tx_pos, rows, axis=0), other_bc])
-                int_pow = np.concatenate([
-                    np.full(len(rows), self.p_s), np.full(len(other_bc), self.p_p)])
-                s = phy.sinr_at(rx, np.asarray(src_pos, dtype=float), self.p_p,
-                                int_pos, int_pow, noise, alpha)
-                worst = np.minimum(worst, s)
+            bc_power = phy.received_power(rx_x, rx_y, other_bc[:, 0], other_bc[:, 1],
+                                          self.p_p, alpha)
             # the delivery subframe runs concurrently with the broadcast slot
-            int_pos = np.vstack([deliv_tx, other_bc])
-            int_pow = np.full(len(int_pos), self.p_p)
-            s = phy.sinr_at(rx, np.asarray(src_pos, dtype=float), self.p_p,
-                            int_pos, int_pow, noise, alpha)
-            worst = np.minimum(worst, s)
-            self.report.record("primary", worst)
+            most = phy.interference_at(rx, np.vstack([deliv_tx, other_bc]), self.p_p, alpha)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                a, b = cols[lo], cols[hi]
+                block = phy.received_power(rx_x, rx_y, xs[a:b], ys[a:b], self.p_s, alpha)
+                for c0, c1 in zip(cols[lo:hi], cols[lo + 1 : hi + 1]):
+                    # a tick's row is [its live relays, the other broadcasts]
+                    row = block[:, c0 - a : c1 - a]
+                    if len(other_bc):
+                        row = np.concatenate([row, bc_power], axis=1)
+                    np.maximum(most, np.add.reduce(row, axis=1), out=most)
+            # IEEE add and divide are monotone, so the least SINR over the
+            # ticks and the delivery subframe is the one with the most interference
+            self.report.record("primary", signal / (noise + most))
 
     def _audit_hops(self, hops, live, live_rows, bounds, bc_pos) -> None:
         """Every secondary hop against its tick's other live cells and the broadcasts.

@@ -271,7 +271,7 @@ def test_deployment_refinement_consistency():
     assert k_s == q * k_p
     # a node's secondary cell must nest inside its primary-grid cell
     sx, sy = np.divmod(dep.secondary_cells, k_s)
-    px, py = np.divmod(dep.secondary_cells_primary_grid, k_p)
+    px, py = np.divmod(dep.primary_grid.cell_of(dep.secondary_pos), k_p)
     assert (sx // q == px).all()
     assert (sy // q == py).all()
 

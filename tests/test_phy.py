@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalar_phy import LinkSample, min_rate, pathloss, rate_of, sinr
-from tiersim.phy import RateReport, interference_at, sinr_at, tx_power
+from tiersim.phy import RateReport, interference_at, received_power, sinr_at, tx_power
 
 
 # ======== pathloss ========
@@ -205,6 +205,52 @@ def test_batched_colocation_guards():
         sinr_at(rx, tx, 1.0, ints, np.ones((2, 1)), 1.0, 4.0)
     with pytest.raises(ValueError, match="transmitter"):
         sinr_at(rx, rx.copy(), 1.0, np.empty((2, 0, 2)), np.empty((2, 0)), 1.0, 4.0)
+
+
+# ======== received-power blocks sliced by column ========
+
+# row lengths on both sides of numpy's pairwise-sum unroll (8) and block (128)
+PAIRWISE_WIDTHS = [0, 1, 7, 8, 9, 127, 128, 129, 1000]
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_receiver"])
+@given(st.lists(st.sampled_from(PAIRWISE_WIDTHS), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_block_slice_sums_equal_one_row_calls(shared, widths, seed):
+    # the broadcast audit sums each tick's column slice of one (R, T) block;
+    # every slice must sum to what a one-row interference_at call returns
+    rng = np.random.default_rng(seed)
+    r, alpha = 6, 3.7
+    rx = rng.random((r, 2))
+    edges = np.r_[0, np.cumsum(widths)]
+    shape = (edges[-1],) if shared else (r, edges[-1])
+    tx = rng.random((*shape, 2))
+    power = rng.uniform(0.5, 2.0, shape)
+    block = received_power(rx[:, 0, None], rx[:, 1, None], tx[..., 0], tx[..., 1],
+                           power, alpha)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sums = np.add.reduce(block[:, lo:hi], axis=1)
+        for i in range(r):
+            row = slice(lo, hi) if shared else (slice(i, i + 1), slice(lo, hi))
+            one = interference_at(rx[i : i + 1], tx[row], power[row], alpha)
+            assert sums[i].tobytes() == one[0].tobytes()
+
+
+def test_colocated_interferer_in_middle_group_raises():
+    rng = np.random.default_rng(11)
+    rx = rng.random((4, 2))
+    tx = rng.random((146, 2))
+    tx[69] = rx[2]  # inside the middle group, columns 9:138
+
+    def block(lo, hi):
+        return received_power(rx[:, 0, None], rx[:, 1, None], tx[lo:hi, 0], tx[lo:hi, 1],
+                              1.0, 4.0)
+
+    block(0, 9)
+    block(138, 146)
+    with pytest.raises(ValueError, match="interferer"):
+        block(9, 138)
 
 
 # ======== rate and report ========

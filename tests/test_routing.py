@@ -83,12 +83,13 @@ def test_single_node_cell_is_forced():
 def test_relay_lives_in_its_cell():
     dep = build_deployment(SimConfig(n=100, seed=1))
     relays = select_relays(dep, 2)
+    sec_on_primary = dep.primary_grid.cell_of(dep.secondary_pos)
     for cell in range(dep.primary_grid.cell_count):
         r = relays.primary_relay[cell]
         if r < 0:
             continue
         if relays.primary_relay_is_secondary[cell]:
-            assert dep.secondary_cells_primary_grid[r] == cell
+            assert sec_on_primary[r] == cell
         else:
             assert dep.primary_cells[r] == cell
     for cell in range(dep.secondary_grid.cell_count):

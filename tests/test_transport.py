@@ -1,26 +1,28 @@
 """Transport tests: segmentation math, subframe stepping, delivery accounting."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from audit_reference import rect_blocked, use_reference_audit
+from audit_reference import reference_audit_frame, rect_blocked, use_reference_audit
 from bundle_reference import reference_trace, use_reference_bundles
 from int_dest_reference import reference_primary_setup
 from queue_reference import use_reference_queue
 
-from tiersim import deployment
+from tiersim import deployment, transport
 from tiersim.deployment import ConfigurationError, SimConfig
 from tiersim.harness import prepare, trace_packet
 from tiersim.phy import RateReport
 from tiersim.routing import hv_path_cells
 from tiersim.scheduler import TICKS, make_region
-from tiersim.transport import RunOptions, relay_count
+from tiersim.transport import (AUDIT_BROADCASTS, AUDIT_RX_CAP, NO_HOPS, RunOptions,
+                               relay_count)
 
 
-def make_sim(n=100.0, seed=0, frames=96, warmup=32, **opts):
-    cfg = SimConfig(n=n, frames=frames, warmup_frames=warmup, seed=seed)
+def make_sim(n=100.0, seed=0, frames=96, warmup=32, ap_scale=1.0, **opts):
+    cfg = SimConfig(n=n, frames=frames, warmup_frames=warmup, seed=seed, ap_scale=ap_scale)
     return prepare(cfg, RunOptions(**opts))
 
 
@@ -426,8 +428,8 @@ class ValueLog(RateReport):
         self.values[category].extend(np.asarray(sinr_values).tolist())
 
 
-def test_batched_audit_equals_per_hop_reference():
-    runs = [make_sim(n=128.0, seed=3, frames=96, warmup=16) for _ in range(2)]
+def assert_audit_equals_reference(**sim_args):
+    runs = [make_sim(**sim_args) for _ in range(2)]
     use_reference_audit(runs[1])
     for sim in runs:
         sim.report = ValueLog()
@@ -439,6 +441,71 @@ def test_batched_audit_equals_per_hop_reference():
     # the minima hide single hops, so every audited value must match too
     for cat, values in reference.values.items():
         assert sorted(batched.values[cat]) == sorted(values)
+    return runs[0]
+
+
+def test_batched_audit_equals_per_hop_reference():
+    assert_audit_equals_reference(n=128.0, seed=3, frames=96, warmup=16)
+
+
+def test_batched_audit_equals_per_hop_reference_small_ticks():
+    # k_s = 8: 64 cells over 64 ticks, so most tick rows hold 0 or 1 relays
+    sim = assert_audit_equals_reference(n=256.0, seed=1, frames=96, warmup=16, ap_scale=4.0)
+    assert sim.k_s == 8
+
+
+def crafted_frame(sim, rng):
+    """Three broadcasts (one over AUDIT_RX_CAP receivers, one direct-style
+    single receiver), four hops from live relays and three deliveries, two
+    of them into one region."""
+    broadcasts = [(rng.random(2), rng.random((n_rx, 2))) for n_rx in (AUDIT_RX_CAP + 6, 5, 1)]
+    rows = rng.choice(len(sim.relay_cells), 4, replace=False)
+    hops = (sim.relay_tx_pos[rows], rng.random((4, 2)), sim.relay_cells[rows])
+    deliveries = [(rng.random(2), rng.random(2), sink) for sink in (4, 9, 4)]
+    return broadcasts, hops, deliveries
+
+
+def audit_values(sim, audit, already_audited, *frame):
+    sim.report = ValueLog()
+    sim._audited_broadcasts = already_audited
+    audit(*frame)
+    return sim.report
+
+
+@pytest.mark.parametrize("block_cols", [transport.AUDIT_BLOCK_COLS, 16])
+@pytest.mark.parametrize("already_audited", [0, AUDIT_BROADCASTS - 2])
+def test_multi_broadcast_audit_equals_reference(already_audited, block_cols, monkeypatch):
+    # no benchmark or acceptance deployment has two active source cells in
+    # one phase, so the other-broadcast rows are only reached here
+    monkeypatch.setattr(transport, "AUDIT_BLOCK_COLS", block_cols)
+    sim = make_sim(n=128.0, seed=3, frames=96, warmup=16)
+    rng = np.random.default_rng(17)
+    for t in (16, 40):
+        frame = (t, *crafted_frame(sim, rng))
+        got = audit_values(sim, sim._audit_frame, already_audited, *frame)
+        want = audit_values(sim, partial(reference_audit_frame, sim), already_audited, *frame)
+        audited_rx = [AUDIT_RX_CAP, 5, 1][: AUDIT_BROADCASTS - already_audited]
+        assert want.samples == {"primary": sum(audited_rx), "delivery": 3, "secondary": 4}
+        assert got.samples == want.samples
+        assert got.values["primary"] == want.values["primary"]
+        assert got.values["delivery"] == want.values["delivery"]
+        assert sorted(got.values["secondary"]) == sorted(want.values["secondary"])
+
+
+def test_broadcast_audit_raises_on_relay_in_middle_tick(monkeypatch):
+    # 16-relay blocks put the middle tick in a middle power block
+    monkeypatch.setattr(transport, "AUDIT_BLOCK_COLS", 16)
+    sim = make_sim(n=128.0, seed=3, frames=96, warmup=16)
+    t = 16
+    broadcasts, _, deliveries = crafted_frame(sim, np.random.default_rng(5))
+    live = np.flatnonzero(~sim.blocked[t % TICKS][sim.relay_cells])
+    ticks = sim.sigma_s[sim.relay_cells[live]]
+    row = live[np.argmin(np.abs(ticks - TICKS // 2))]
+    broadcasts[1][1][2] = sim.relay_tx_pos[row]
+    for audit in (sim._audit_frame, partial(reference_audit_frame, sim)):
+        sim._audited_broadcasts = 0
+        with pytest.raises(ValueError, match="interferer"):
+            audit(t, broadcasts, NO_HOPS, deliveries)
 
 
 # ======== queue lengths against the per-packet reference ========
