@@ -8,13 +8,14 @@ primary-segment relaying, sink delivery), each carrying 64 secondary slots.
 A preservation region is the 3x3 primary-cell block around an active
 primary transmitter plus a one-cell ring of secondary cells; secondary
 transmitters inside it stay silent for the whole primary slot. Collection
-regions have the same shape, centered on sink cells, and are admitted
-greedily so that they overlap neither preservation regions nor each other.
+regions have the same shape, centered on sink cells, and need one primary
+cell of clearance from preservation regions and from each other. For regions
+centered on primary cells a and b that is one rule on the cell offsets
+(_conflict). It gives each slot's row of open sinks (clear_sinks, once at
+set-up) and the greedy admission of a frame's ready sinks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +23,12 @@ from .deployment import CellGrid
 
 __all__ = [
     "TICKS",
-    "Region",
     "slot_offsets",
     "make_region",
     "preservation_regions",
     "blocked_secondary_cells",
+    "clear_sinks",
     "place_collection_regions",
-    "rects_overlap",
 ]
 
 TICKS = 64  # slots of the round robin; one subframe spans one full cycle
@@ -48,43 +48,29 @@ def slot_offsets(side_count: int) -> np.ndarray:
 # ======== regions ========
 
 
-@dataclass(frozen=True)
-class Region:
+def make_region(center: int, p_grid: CellGrid, s_grid: CellGrid) -> tuple[int, int, int, int]:
     """3x3 primary block plus secondary ring, clipped at the boundary.
 
-    The extent is stored as an inclusive rectangle in secondary cell
-    coordinates: columns sec_x0..sec_x1, rows sec_y0..sec_y1.
+    Returned as an inclusive rectangle (x0, x1, y0, y1) in secondary cell
+    coordinates: columns x0..x1, rows y0..y1.
     """
-
-    center: int
-    sec_x0: int
-    sec_x1: int
-    sec_y0: int
-    sec_y1: int
-
-    def secondary_rect(self) -> tuple[int, int, int, int]:
-        return (self.sec_x0, self.sec_x1, self.sec_y0, self.sec_y1)
-
-
-def make_region(center: int, p_grid: CellGrid, s_grid: CellGrid) -> Region:
     k_p = p_grid.side_count
     k_s = s_grid.side_count
     q = k_s // k_p
     px, py = divmod(center, k_p)
     bx0, bx1 = max(0, px - 1), min(k_p - 1, px + 1)
     by0, by1 = max(0, py - 1), min(k_p - 1, py + 1)
-    return Region(
-        center=center,
-        sec_x0=max(0, bx0 * q - 1),
-        sec_x1=min(k_s - 1, (bx1 + 1) * q),
-        sec_y0=max(0, by0 * q - 1),
-        sec_y1=min(k_s - 1, (by1 + 1) * q),
+    return (
+        max(0, bx0 * q - 1),
+        min(k_s - 1, (bx1 + 1) * q),
+        max(0, by0 * q - 1),
+        min(k_s - 1, (by1 + 1) * q),
     )
 
 
 def preservation_regions(
     active_tx_cells, p_grid: CellGrid, s_grid: CellGrid
-) -> list[Region]:
+) -> list[tuple[int, int, int, int]]:
     """One region per primary cell that actually transmits this slot."""
     return [make_region(int(c), p_grid, s_grid) for c in active_tx_cells]
 
@@ -93,45 +79,43 @@ def blocked_secondary_cells(regions, s_grid: CellGrid) -> np.ndarray:
     """Union of member secondary cells over regions, as a flat boolean mask."""
     k = s_grid.side_count
     mask = np.zeros((k, k), dtype=bool)
-    for r in regions:
-        mask[r.sec_x0 : r.sec_x1 + 1, r.sec_y0 : r.sec_y1 + 1] = True
+    for x0, x1, y0, y1 in regions:
+        mask[x0 : x1 + 1, y0 : y1 + 1] = True
     return mask.ravel()
 
 
-def rects_overlap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
-    ax0, ax1, ay0, ay1 = a
-    bx0, bx1, by0, by1 = b
-    return ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+def _conflict(dx, dy, q: int):
+    """Whether regions centered dx, dy primary cells apart lack one primary
+    cell (q secondary cells) of clearance. Unclipped, a region at column x
+    spans secondary columns (x-1)q-1 .. (x+2)q, so grown by q it meets
+    another iff (|dx| - 4) q <= 1, likewise on rows; boundary clipping cuts
+    only cells outside the grid. Takes ints or arrays."""
+    return ((abs(dx) - 4) * q <= 1) & ((abs(dy) - 4) * q <= 1)
 
 
-def place_collection_regions(
-    pending_sink_cells,
-    preservation: list[Region],
-    p_grid: CellGrid,
-    s_grid: CellGrid,
-) -> list[Region]:
-    """Greedy admission of collection regions in sink-cell index order.
+def clear_sinks(active_tx_cells, k_p: int, q: int) -> np.ndarray:
+    """Flat boolean mask over primary cells: the sinks whose collection region
+    keeps clear of the preservation regions around active_tx_cells."""
+    sx, sy = np.divmod(np.arange(k_p * k_p)[:, None], k_p)
+    ax, ay = np.divmod(np.asarray(active_tx_cells, dtype=np.int64), k_p)
+    return ~_conflict(sx - ax, sy - ay, q).any(axis=1)
 
-    A region is admitted when it keeps at least one primary cell of clearance
-    from every preservation region and every already admitted collection
-    region; losers wait for the next frame. Mere non-overlap is not enough:
-    a delivery transmitter runs at primary power, so a receiver in a touching
-    region would see interference at secondary-cell range, and the constant
+
+def place_collection_regions(sinks, open_row, k_p: int, q: int) -> list[int]:
+    """Greedy admission of collection regions in ascending sink-cell order.
+
+    A sink is admitted when its phase leaves it open (open_row, a row of
+    clear_sinks) and it keeps clear of every sink admitted before it; losers
+    wait for the next frame. Mere non-overlap is not enough: a delivery
+    transmitter runs at primary power, so a receiver in a touching region
+    would see interference at secondary-cell range, and the constant
     per-delivery rate only holds with primary-cell spacing.
     """
-    q = s_grid.side_count // p_grid.side_count
-    blocked_rects = [r.secondary_rect() for r in preservation]
-    admitted: list[Region] = []
-    admitted_rects: list[tuple[int, int, int, int]] = []
-    for sink in sorted(set(int(c) for c in pending_sink_cells)):
-        region = make_region(sink, p_grid, s_grid)
-        rect = region.secondary_rect()
-        # grow one side of every tested pair by q cells = one primary cell
-        grown = (rect[0] - q, rect[1] + q, rect[2] - q, rect[3] + q)
-        if any(rects_overlap(grown, r) for r in blocked_rects):
+    admitted: list[int] = []
+    for sink in sorted(set(sinks)):
+        if not open_row[sink]:
             continue
-        if any(rects_overlap(grown, r) for r in admitted_rects):
-            continue
-        admitted.append(region)
-        admitted_rects.append(rect)
+        x, y = divmod(sink, k_p)
+        if not any(_conflict(x - a // k_p, y - a % k_p, q) for a in admitted):
+            admitted.append(sink)
     return admitted

@@ -38,8 +38,8 @@ from .deployment import PRIMARY, SECONDARY, CellIndex, ConfigurationError, Deplo
 from .routing import RelayAssignment, hv_path_cells, path_load_census
 from .scheduler import (
     TICKS,
-    Region,
     blocked_secondary_cells,
+    clear_sinks,
     place_collection_regions,
     preservation_regions,
     slot_offsets,
@@ -252,15 +252,16 @@ class TransportSim:
     def _setup_schedule(self) -> None:
         occupied = np.flatnonzero(self.sources.counts > 0)
         self.phase_cells: list[np.ndarray] = []
-        self.phase_regions: list[list[Region]] = []
-        # blocked[phase]: secondary cells silenced by that phase's preservation regions
+        # blocked[phase]: secondary cells silenced by that phase's preservation
+        # regions; sink_open[phase]: sink cells whose collection region clears them
         self.blocked = np.zeros((TICKS, self.gs.cell_count), dtype=bool)
+        self.sink_open = np.zeros((TICKS, self.gp.cell_count), dtype=bool)
         for phase in range(TICKS):
             cells = occupied[self.sigma_p[occupied] == phase]
-            regions = preservation_regions(cells, self.gp, self.gs)
             self.phase_cells.append(cells)
-            self.phase_regions.append(regions)
-            self.blocked[phase] = blocked_secondary_cells(regions, self.gs)
+            self.blocked[phase] = blocked_secondary_cells(
+                preservation_regions(cells, self.gp, self.gs), self.gs)
+            self.sink_open[phase] = clear_sinks(cells, self.k_p, self.k_s // self.k_p)
         # relay-holding cells sorted by tick (cell order within a tick), with
         # their relays' positions: the audit's candidate transmitters
         by_tick = np.argsort(self.sigma_s, kind="stable")
@@ -445,8 +446,8 @@ class TransportSim:
                       self.sec_pos[self.sec_relay[new_cell]])
         return tx, rx, sent
 
-    def _deliver(self, t: int, regions) -> list:
-        """Subframe 3: greedy disjoint collection regions, one packet per sink node."""
+    def _deliver(self, t: int, open_row: np.ndarray) -> list:
+        """Subframe 3: greedy clear collection regions, one packet per sink node."""
         if not len(self.pending):
             return []
         tab = self.table
@@ -454,18 +455,15 @@ class TransportSim:
         if not len(ready):
             return []
         pairs = tab["pair"][ready]
-        sinks = self.pair_sink[pairs]
-        admitted = place_collection_regions(sinks.tolist(), regions, self.gp, self.gs)
+        sinks = self.pair_sink[pairs].tolist()
+        admitted = set(place_collection_regions(sinks, open_row, self.k_p,
+                                                self.k_s // self.k_p))
         if not admitted:
             return []
-        open_sink = np.zeros(self.gp.cell_count, dtype=bool)
-        open_sink[[r.center for r in admitted]] = True
         # one packet per int-dest, the first ready in roster order. The pairs
         # are a matching, so a sink node's one pair fixes its int-dest, and a
         # busy sink node always means a busy int-dest.
-        take = np.flatnonzero(open_sink[sinks])
-        if not len(take):
-            return []
+        take = np.array([i for i, sink in enumerate(sinks) if sink in admitted], dtype=np.int64)
         int_dest = self.pair_int_dest[pairs[take]]
         if len(set(int_dest.tolist())) < len(take):
             _, first = np.unique(int_dest, return_index=True)
@@ -488,7 +486,7 @@ class TransportSim:
                     self._next_id(), PRIMARY, 3 * b_born, 3 * t + 2, length,
                     self.n_relays))
         return list(zip(self.sec_pos[int_dest], self.pri_pos[self.pairs_p[pairs, 1]],
-                        sinks[take].tolist()))
+                        self.pair_sink[pairs].tolist()))
 
     # ======== SINR audit ========
 
@@ -588,7 +586,7 @@ class TransportSim:
         self._inject(t)
         hops = self._advance_secondary(t, blocked)
         bundle_hops = self._advance_bundles(t, blocked)
-        deliveries = self._deliver(t, self.phase_regions[phase])
+        deliveries = self._deliver(t, self.sink_open[phase])
         if self._in_audit(t):
             hops = tuple(np.concatenate(h) for h in zip(hops, bundle_hops))
             self._audit_frame(t, broadcasts, hops, deliveries)

@@ -17,6 +17,8 @@ import numpy as np
 from tiersim.scheduler import TICKS
 from tiersim.transport import AUDIT_BROADCASTS, AUDIT_RX_CAP, TransportSim
 
+from region_reference import phase_rects
+
 
 def interference_at(rx_pos, tx_pos, tx_power_w, alpha):
     """Summed interferer power at each receiver, (R,) from (R,2) x (T,2)."""
@@ -49,7 +51,7 @@ def rect_blocked(cells, rects, k_s):
 
 def tick_sets(sim: TransportSim, phase: int) -> list:
     """Per tick: the unblocked relay-holding cells and their relays' positions."""
-    rects = [r.secondary_rect() for r in sim.phase_regions[phase]]
+    rects = phase_rects(sim, phase)
     by_tick = np.argsort(sim.sigma_s, kind="stable")
     bounds = np.searchsorted(sim.sigma_s[by_tick], np.arange(TICKS + 1))
     sets = []

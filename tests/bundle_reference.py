@@ -7,6 +7,8 @@ _advance_bundles, and _deliver removes delivered bundles by identity. The
 table must reproduce its hops, arrivals, deliveries, records, TX log and
 traced packet exactly. The per-segment arrival ticks it once kept are left
 out: every segment rode the lead relay's path, so they were all equal.
+Delivery admits collection regions by rectangle overlap (region_reference),
+not by the scheduler's clearance rule.
 Broadcast events are (transmitter, receivers) pairs, as the audit reads them.
 use_reference_bundles installs it on one TransportSim instance.
 """
@@ -19,8 +21,10 @@ from functools import partial
 import numpy as np
 
 from tiersim.deployment import PRIMARY
-from tiersim.scheduler import TICKS, place_collection_regions
+from tiersim.scheduler import TICKS
 from tiersim.transport import NO_HOPS, PacketRecord, TransportSim
+
+from region_reference import phase_rects, place_collection_regions
 
 
 @dataclass
@@ -156,16 +160,20 @@ def reference_advance_bundles(sim: TransportSim, t: int, blocked: np.ndarray) ->
     return np.array(tx), np.array(rx), np.array(sent, dtype=np.int64)
 
 
-def reference_deliver(sim: TransportSim, t: int, regions) -> list:
-    """Subframe 3: greedy disjoint collection regions, one packet per sink node."""
+def reference_deliver(sim: TransportSim, t: int, _open_row) -> list:
+    """Subframe 3: greedy clear collection regions, one packet per sink node.
+
+    Admission ignores the sink table row it is handed and tests rectangles
+    rebuilt from the phase's active source cells instead.
+    """
     ready = [b for b in sim.pending if b.ready_frame <= t]
     if not ready:
         return []
     sinks = np.array(sorted({b.sink_cell for b in ready}), dtype=np.int64)
-    admitted = place_collection_regions(sinks, regions, sim.gp, sim.gs)
+    admitted = place_collection_regions(sinks, phase_rects(sim, t % TICKS), sim.gp, sim.gs)
     if not admitted:
         return []
-    open_sinks = {r.center for r in admitted}
+    open_sinks = set(admitted)
     served: set[int] = set()
     busy_tx: set[int] = set()
     delivered = []

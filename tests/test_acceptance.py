@@ -220,9 +220,8 @@ def test_08_no_transmission_inside_preservation_regions():
         phase = t % 64
         if phase not in rects_by_phase:
             active = src_cells[sigma[src_cells] == phase]
-            regions = preservation_regions(active, dep.primary_grid,
-                                           dep.secondary_grid)
-            rects_by_phase[phase] = [r.secondary_rect() for r in regions]
+            rects_by_phase[phase] = preservation_regions(active, dep.primary_grid,
+                                                         dep.secondary_grid)
         cx, cy = cell // k_s, cell % k_s
         for x0, x1, y0, y1 in rects_by_phase[phase]:
             if x0 <= cx <= x1 and y0 <= cy <= y1:

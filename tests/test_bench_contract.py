@@ -14,8 +14,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import bench  # noqa: E402
 import spans  # noqa: E402
 
+from tiersim import transport  # noqa: E402
 from tiersim.deployment import SimConfig  # noqa: E402
 from tiersim.harness import prepare, run_point  # noqa: E402
+from tiersim.scheduler import TICKS  # noqa: E402
 
 
 def test_traced_names_live_where_spans_patch_them():
@@ -43,3 +45,32 @@ def test_traced_step_info_reads_live_state():
     assert info[1] + info[2] == (sim.injected_p - sim.delivered_direct
                                  - sim.delivered_carried - sim.dropped_p)
     assert info[3] == sim.injected_s - sim.delivered_s > 0
+
+
+def test_traced_admit_info_counts_a_live_call(monkeypatch):
+    # spans reads (unique sinks offered, sinks admitted) off the arguments and
+    # return value of place_collection_regions; every ready sink is offered,
+    # closed ones too. n = 512 gives k_p = 6, the smallest grid on which one
+    # phase closes some sinks and leaves others open.
+    info = {name: info for _owner, _attr, name, info in spans._targets()}["scheduler.admit"]
+    admit = transport.place_collection_regions
+    calls = []
+
+    def recorded(*args):
+        out = admit(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(transport, "place_collection_regions", recorded)
+    sim = prepare(SimConfig(n=512.0, frames=160, warmup_frames=4, seed=3))
+    closed = set()
+    while not (closed and calls and calls[-1][1]):
+        assert sim.frame < sim.cfg.frames, "no frame admitted a sink while holding another"
+        # bundles on the roster before a step arrived before its frame: all ready
+        ready = set(sim.pair_sink[sim.table["pair"][sim.pending]].tolist())
+        closed = {sink for sink in ready if not sim.sink_open[sim.frame % TICKS, sink]}
+        sim.step()
+    args, out = calls[-1]
+    assert info(args, out) == (len(ready), len(out))
+    assert all(type(sink) is int for sink in out)
+    assert set(out) <= ready - closed

@@ -1,15 +1,21 @@
 """Slot round-robin, preservation regions, and collection admission."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import region_reference
+from region_reference import grown, rects_overlap
 
 from tiersim.deployment import CellGrid
 from tiersim.scheduler import (
     TICKS,
     blocked_secondary_cells,
+    clear_sinks,
     make_region,
     place_collection_regions,
     preservation_regions,
-    rects_overlap,
     slot_offsets,
 )
 
@@ -24,14 +30,14 @@ def active_cells(grid, slot):
 
 def region_cells(region, k_s):
     """Flat secondary cells of a region, enumerated from its rectangle."""
-    x0, x1, y0, y1 = region.secondary_rect()
+    x0, x1, y0, y1 = region
     return np.array([x * k_s + y for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)])
 
 
 def covers_primary(region, cell, k_p, q):
     """Whether a region holds every secondary cell of a primary cell."""
     cx, cy = divmod(cell, k_p)
-    x0, x1, y0, y1 = region.secondary_rect()
+    x0, x1, y0, y1 = region
     return x0 <= cx * q and (cx + 1) * q - 1 <= x1 and y0 <= cy * q and (cy + 1) * q - 1 <= y1
 
 
@@ -127,7 +133,7 @@ def test_regions_eight_cells_apart_are_disjoint():
     p, s = pgrid(16), sgrid(16 * 5)
     a = make_region(3 * 16 + 3, p, s)
     b = make_region(11 * 16 + 3, p, s)
-    assert not rects_overlap(a.secondary_rect(), b.secondary_rect())
+    assert not rects_overlap(a, b)
 
 
 def test_blocked_cells_empty_without_tx():
@@ -149,66 +155,101 @@ def test_rects_overlap_inclusive():
 # ======== collection admission ========
 
 
+def admit(sinks, active=(), k_p=16, q=5):
+    """Admitted sinks of a phase in which the primary cells in active transmit."""
+    return place_collection_regions(sinks, clear_sinks(active, k_p, q), k_p, q)
+
+
 def test_sink_inside_preservation_block_is_deferred():
-    p, s = pgrid(16), sgrid(16 * 5)
-    pres = preservation_regions([5 * 16 + 5], p, s)
-    admitted = place_collection_regions([5 * 16 + 6], pres, p, s)
-    assert admitted == []
+    assert admit([5 * 16 + 6], active=[5 * 16 + 5]) == []
 
 
 def test_sinks_two_apart_admit_at_most_one():
-    p, s = pgrid(16), sgrid(16 * 5)
-    admitted = place_collection_regions([5 * 16 + 5, 7 * 16 + 5], [], p, s)
-    assert len(admitted) == 1
+    assert len(admit([5 * 16 + 5, 7 * 16 + 5])) == 1
 
 
 def test_touching_regions_are_not_co_admitted():
     # disjoint but adjacent blocks still conflict: a delivery transmitter at
     # primary power one secondary cell from the neighbour's receiver would
     # break the constant per-delivery rate
-    p, s = pgrid(16), sgrid(16 * 5)
-    admitted = place_collection_regions([5 * 16 + 5, 8 * 16 + 5], [], p, s)
-    assert len(admitted) == 1
-    admitted = place_collection_regions([5 * 16 + 5, 9 * 16 + 5], [], p, s)
-    assert len(admitted) == 1  # one primary cell of gap is still too close
+    assert len(admit([5 * 16 + 5, 8 * 16 + 5])) == 1
+    assert len(admit([5 * 16 + 5, 9 * 16 + 5])) == 1  # one primary cell of gap is still too close
 
 
 def test_separated_regions_are_co_admitted():
-    p, s = pgrid(16), sgrid(16 * 5)
-    admitted = place_collection_regions([5 * 16 + 5, 10 * 16 + 5], [], p, s)
+    admitted = admit([5 * 16 + 5, 10 * 16 + 5])
     assert len(admitted) == 2
-    assert {r.center for r in admitted} == {5 * 16 + 5, 10 * 16 + 5}
+    assert set(admitted) == {5 * 16 + 5, 10 * 16 + 5}
 
 
 def test_admission_defers_near_preservation():
-    p, s = pgrid(16), sgrid(16 * 5)
-    pres = preservation_regions([5 * 16 + 5], p, s)
     # four cells away still conflicts through the grown test, five clears it
-    assert place_collection_regions([9 * 16 + 5], pres, p, s) == []
-    admitted = place_collection_regions([10 * 16 + 5], pres, p, s)
-    assert len(admitted) == 1
+    assert admit([9 * 16 + 5], active=[5 * 16 + 5]) == []
+    assert len(admit([10 * 16 + 5], active=[5 * 16 + 5])) == 1
 
 
 def test_admitted_regions_never_touch_blocked_cells():
     p, s = pgrid(16), sgrid(16 * 5)
-    pres = preservation_regions([2 * 16 + 2, 12 * 16 + 12], p, s)
-    mask = blocked_secondary_cells(pres, s)
-    sinks = [c for c in range(256)]
-    admitted = place_collection_regions(sinks, pres, p, s)
+    active = [2 * 16 + 2, 12 * 16 + 12]
+    mask = blocked_secondary_cells(preservation_regions(active, p, s), s)
+    admitted = admit(list(range(256)), active=active)
     assert admitted  # plenty of room far from both transmitters
-    for region in admitted:
-        assert not mask[region_cells(region, s.side_count)].any()
+    for sink in admitted:
+        assert not mask[region_cells(make_region(sink, p, s), s.side_count)].any()
 
 
 def test_admission_is_greedy_in_sink_order():
-    p, s = pgrid(16), sgrid(16 * 5)
     # all candidates conflict pairwise; the smallest sink index wins
-    admitted = place_collection_regions([7 * 16 + 7, 5 * 16 + 5, 6 * 16 + 6], [], p, s)
-    assert len(admitted) == 1
-    assert admitted[0].center == 5 * 16 + 5
+    assert admit([7 * 16 + 7, 5 * 16 + 5, 6 * 16 + 6]) == [5 * 16 + 5]
 
 
 def test_duplicate_sink_requests_collapse():
-    p, s = pgrid(16), sgrid(16 * 5)
-    admitted = place_collection_regions([5 * 16 + 5, 5 * 16 + 5], [], p, s)
-    assert len(admitted) == 1
+    assert len(admit([5 * 16 + 5, 5 * 16 + 5])) == 1
+
+
+# ======== clearance rule against the rectangle oracle ========
+
+
+@pytest.mark.parametrize("k_p", [2, 3, 5, 8, 11, 16])
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 21])
+def test_clearance_rule_equals_grown_rectangle_overlap(k_p, q):
+    # every ordered (active, sink) pair, edge and corner cells included
+    p, s = pgrid(k_p), sgrid(k_p * q)
+    rects = [make_region(c, p, s) for c in range(k_p * k_p)]
+    for active, rect in enumerate(rects):
+        want = [not rects_overlap(grown(sink_rect, q), rect) for sink_rect in rects]
+        assert clear_sinks([active], k_p, q).tolist() == want
+
+
+@st.composite
+def phase_and_sinks(draw):
+    k_p = draw(st.sampled_from([2, 3, 5, 8, 11, 16]))
+    q = draw(st.sampled_from([1, 2, 3, 5, 21]))
+    cell = st.integers(0, k_p * k_p - 1)
+    return (k_p, q, draw(st.lists(cell, max_size=6, unique=True)),
+            draw(st.lists(cell, max_size=40)))
+
+
+@given(phase_and_sinks())
+@settings(max_examples=300, deadline=None)
+def test_admission_equals_rectangle_oracle(case):
+    k_p, q, active, sinks = case
+    p, s = pgrid(k_p), sgrid(k_p * q)
+    want = region_reference.place_collection_regions(
+        sinks, preservation_regions(active, p, s), p, s)
+    assert place_collection_regions(sinks, clear_sinks(active, k_p, q), k_p, q) == want
+
+
+# ======== admitted-phase map ========
+
+
+# ROADMAP item 1 is meant to change these counts: with full primary TDMA and
+# one primary cell of clearance, sinks near the middle of each 8x8 cluster
+# are held in every phase.
+@pytest.mark.parametrize("k_p, never", [(8, 4), (11, 25), (15, 81), (16, 100), (24, 324)])
+def test_never_admissible_sinks_with_every_source_active(k_p, never):
+    sigma = slot_offsets(k_p)
+    table = np.array([clear_sinks(np.flatnonzero(sigma == phase), k_p, 2)
+                      for phase in range(TICKS)])
+    assert table.shape == (TICKS, k_p * k_p)
+    assert int((~table.any(axis=0)).sum()) == never

@@ -10,13 +10,14 @@ from audit_reference import reference_audit_frame, rect_blocked, use_reference_a
 from bundle_reference import reference_trace, use_reference_bundles
 from int_dest_reference import reference_primary_setup
 from queue_reference import use_reference_queue
+from region_reference import phase_rects, place_collection_regions as rect_admission
 
 from tiersim import deployment, transport
 from tiersim.deployment import ConfigurationError, SimConfig
 from tiersim.harness import prepare, trace_packet
 from tiersim.phy import RateReport
 from tiersim.routing import hv_path_cells
-from tiersim.scheduler import TICKS, make_region
+from tiersim.scheduler import TICKS, clear_sinks
 from tiersim.transport import (AUDIT_BROADCASTS, AUDIT_RX_CAP, NO_HOPS, RunOptions,
                                relay_count)
 
@@ -226,6 +227,11 @@ def open_cells(sim):
     return np.zeros(sim.gs.cell_count, dtype=bool)
 
 
+def open_sinks(sim, active=()):
+    """The sink row of a phase in which the primary cells in active transmit."""
+    return clear_sinks(active, sim.k_p, sim.k_s // sim.k_p)
+
+
 def queue_index(sim, row, position):
     """Index into sim.q of one path position of one sampled pair."""
     return sim.path_off[row] + sim.plen[row] - 1 - position
@@ -349,8 +355,8 @@ def test_arrival_joins_roster_next_frame():
     assert sim.pending.tolist() == [bundle]
     assert sim.table["arrival"][bundle] == 3
     # not served in its arrival frame even if the region is free
-    assert sim._deliver(3, []) == []
-    events = sim._deliver(4, [])
+    assert sim._deliver(3, open_sinks(sim)) == []
+    events = sim._deliver(4, open_sinks(sim))
     assert len(events) == 1
     assert sim.pending.tolist() == []
     assert sim.table["delivered"][bundle] == 4
@@ -373,7 +379,7 @@ def test_same_region_handovers_share_a_subframe():
     assert sim.pairs_p[pair_a, 1] != sim.pairs_p[pair_b, 1]
     launch_arrived(sim, pair_a, 2)
     launch_arrived(sim, pair_b, 2)
-    events = sim._deliver(3, [])
+    events = sim._deliver(3, open_sinks(sim))
     assert len(events) == 2
     assert events[0][2] == events[1][2]  # one collection region
     assert sim.delivered_carried == 2
@@ -385,9 +391,9 @@ def test_one_packet_per_sink_node_per_frame():
     # two bundles of one pair: same receiving node, the second must wait a frame
     launch_arrived(sim, pair, 2)
     later = launch_arrived(sim, pair, 2)
-    assert len(sim._deliver(3, [])) == 1
+    assert len(sim._deliver(3, open_sinks(sim))) == 1
     assert sim.pending.tolist() == [later]
-    assert len(sim._deliver(4, [])) == 1
+    assert len(sim._deliver(4, open_sinks(sim))) == 1
     assert sim.pending.tolist() == []
 
 
@@ -395,10 +401,12 @@ def test_delivery_defers_to_preservation_regions():
     sim = make_sim(warmup=0)
     pair = carried_pairs(sim)[0]
     bundle = launch_arrived(sim, pair, 2)
-    hold = make_region(int(sim.pair_sink[pair]), sim.gp, sim.gs)
-    assert sim._deliver(3, [hold]) == []
+    # the sink's own cell transmits: its collection region would sit inside
+    # that preservation region
+    hold = open_sinks(sim, [int(sim.pair_sink[pair])])
+    assert sim._deliver(3, hold) == []
     assert sim.pending.tolist() == [bundle]
-    assert len(sim._deliver(4, [])) == 1
+    assert len(sim._deliver(4, open_sinks(sim))) == 1
 
 
 # ======== preservation masks and the batched audit ========
@@ -409,11 +417,15 @@ def test_phase_mask_is_union_of_preservation_regions(n, k_p):
     sim = make_sim(n=n, sample_pairs=8)
     assert sim.k_p == k_p
     assert sim.blocked.shape == (TICKS, sim.gs.cell_count)
-    assert any(sim.phase_regions)
+    assert any(len(active) for active in sim.phase_cells)
     cells = np.arange(sim.gs.cell_count)
     for phase in range(TICKS):
-        rects = [r.secondary_rect() for r in sim.phase_regions[phase]]
+        rects = phase_rects(sim, phase)
         assert np.array_equal(sim.blocked[phase], rect_blocked(cells, rects, sim.k_s))
+        # the sink table row: each sink alone, admitted by the rectangle oracle
+        alone = [rect_admission([sink], rects, sim.gp, sim.gs) == [sink]
+                 for sink in range(sim.gp.cell_count)]
+        assert sim.sink_open[phase].tolist() == alone
 
 
 class ValueLog(RateReport):
