@@ -5,10 +5,11 @@
 Builds one run with harness.prepare (deployment, relays, TransportSim),
 steps it for --frames frames, and prints one JSON line: setup_s (host
 seconds of prepare), peak_rss_mb (ru_maxrss of this process when the frames
-are done), the node counts, and a digest of the set-up state (primary pair
+are done), the node counts, the bytes per secondary node that the deployment
+holds for the whole run, and a digest of the set-up state (primary pair
 paths and int-dests, relays, cell orders, census maximum) that must not
-change when set-up is only made faster. Run one size per process, so that
-each peak is its own.
+change when set-up is only made faster or smaller. Run one size per
+process, so that each peak is its own.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import time
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402
+
 from tiersim.deployment import SimConfig  # noqa: E402
 from tiersim.harness import prepare  # noqa: E402
 
@@ -31,10 +34,15 @@ def setup_digest(sim) -> str:
     dep = sim.dep
     for a in (sim.pair_path_len, sim.pair_direct, sim.pair_relay_cell,
               sim.pair_int_dest, sim.pair_int_dest_cell,
-              sim.relays.primary_relay, sim.relays.secondary_relay,
-              dep.primary_index.order, dep.secondary_index.order,
-              dep.secondary_index_primary_grid.order):
+              sim.relays.primary_relay, sim.relays.secondary_relay):
         h.update(memoryview(a))
+    # the cell orders are hashed as int64, the form they had when the digest
+    # was fixed, a slice at a time; the secondary-grid order is not held by
+    # the deployment, so it is derived here
+    for order in (dep.primary_index.order, np.argsort(dep.secondary_cells, kind="stable"),
+                  dep.secondary_index_primary_grid.order):
+        for i in range(0, len(order), 1 << 20):
+            h.update(memoryview(order[i : i + (1 << 20)].astype(np.int64)))
     h.update(str(sim.census_max).encode())
     return h.hexdigest()[:16]
 
@@ -52,12 +60,16 @@ def main() -> None:
     setup_s = time.perf_counter() - t0
     sim.run()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    dep = sim.dep  # its per-node secondary arrays are held for the whole run
+    held = sum(a.nbytes for a in (dep.secondary_pos, dep.secondary_cells, dep.secondary_pairs,
+                                  dep.secondary_index_primary_grid.order))
     print(json.dumps({
         "n": args.n, "seed": args.seed, "frames": args.frames,
         "k_p": sim.k_p, "k_s": sim.k_s,
         "primaries": len(sim.pri_pos), "secondaries": len(sim.sec_pos),
         "setup_s": round(setup_s, 4), "peak_rss_mb": round(peak_mb, 1),
-        "digest": setup_digest(sim),
+        "held_bytes_per_secondary": round(held / len(sim.sec_pos), 2),
+        "digest": setup_digest(sim),  # after the peak is read: it sorts m cells
     }))
 
 

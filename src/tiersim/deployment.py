@@ -106,9 +106,11 @@ class CellGrid:
     def cell_of(self, positions: np.ndarray) -> np.ndarray:
         """Flat cell index for each (x, y) row; points on 1.0 clip inward."""
         k = self.side_count
-        ij = (positions * k).astype(np.int64)
+        # float64 -> int32 converts about 3x faster than -> int64; the flat
+        # index is formed in int64
+        ij = (positions * k).astype(np.int32)
         np.minimum(ij, k - 1, out=ij)
-        return ij[:, 0] * k + ij[:, 1]
+        return ij[:, 0] * np.int64(k) + ij[:, 1]
 
     def center(self, cell: int) -> tuple[float, float]:
         cx, cy = divmod(cell, self.side_count)
@@ -184,37 +186,51 @@ def sample_ppp(density: float, seed) -> np.ndarray:
 def pair_sd(count: int, seed) -> np.ndarray:
     """Uniform perfect matching of node indices into directed S-D pairs.
 
-    Returns an (P, 2) array of (source, destination) index pairs. With an
-    odd count one uniformly random node stays unpaired; with fewer than 2
+    Returns an (P, 2) int32 array of (source, destination) index pairs. With
+    an odd count one uniformly random node stays unpaired; with fewer than 2
     nodes the pairing is empty.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if count < 2:
-        return np.empty((0, 2), dtype=np.int64)
-    perm = rng.permutation(count)
+        return np.empty((0, 2), dtype=np.int32)
+    # numpy shuffles 8 B items fastest; the ids are then held in 4 B
+    perm = rng.permutation(count).astype(np.int32)
     half = count // 2
-    return np.stack([perm[:half], perm[half : 2 * half]], axis=1)
+    # pair i is (perm[i], perm[half + i]): a strided view, not a stacked copy
+    return np.lib.stride_tricks.as_strided(
+        perm, shape=(half, 2), strides=(perm.itemsize, half * perm.itemsize), writeable=False)
 
 
 # ======== deployment ========
 
-# peak RSS per secondary node: the rise from n = 2048 to 4096 (301 to 1093 MB)
-# over the rise in m (4.19 M to 16.78 M), from scripts/setup_probe.py (BENCH_8.json)
-SECONDARY_NODE_BYTES = 66
+# peak RSS per secondary node: the rise from n = 2048 to 4096 (159.1 to 519.4 MB)
+# over the rise in m (4.19 M to 16.78 M), from scripts/setup_probe.py (BENCH_11.json)
+SECONDARY_NODE_BYTES = 30
+# node ids are held as int32 and uint32; the margin is 20+ standard
+# deviations of the Poisson node count
+ID_LIMIT = 2**31 - 2**20
+CHUNK = 1 << 16  # nodes or pairs per pass where an O(m) temporary would otherwise form
 
 
 class CellIndex:
-    """Sorted-order lookup of node ids per cell for one grid."""
+    """Node ids (uint32) grouped by cell, in node-id order within each cell."""
 
     def __init__(self, cells: np.ndarray, cell_count: int):
-        self.counts = np.bincount(cells, minlength=cell_count)
-        # np.argsort(cells, kind="stable") as 16-bit radix passes, low bits
-        # first: numpy radix-sorts 16-bit keys, and a stable order is unique
-        self.order = np.argsort(cells.astype(np.uint16), kind="stable")
-        if cell_count > 1 << 16:
-            high = (cells[self.order] >> 16).astype(np.uint16)
-            self.order = self.order[np.argsort(high, kind="stable")]
+        starts = range(0, len(cells), CHUNK)
+        per_chunk = [np.bincount(cells[i : i + CHUNK], minlength=cell_count)
+                     for i in starts]
+        self.counts = sum(per_chunk, np.zeros(cell_count, dtype=np.int64))
         self.starts = np.concatenate([[0], np.cumsum(self.counts)])
+        # np.argsort(cells, kind="stable") placed a chunk at a time: a chunk's
+        # members of a cell go after those of the chunks before it
+        self.order = np.empty(len(cells), dtype=np.uint32)
+        cursor = self.starts[:-1].copy()
+        for i, here in zip(starts, per_chunk):
+            chunk = cells[i : i + CHUNK]
+            by = np.argsort(chunk, kind="stable")  # numpy radix-sorts uint16 keys
+            shift = cursor - (np.cumsum(here) - here)
+            self.order[shift[chunk[by]] + np.arange(len(by))] = by + i
+            cursor += here
 
     def members(self, cell: int) -> np.ndarray:
         return self.order[self.starts[cell] : self.starts[cell + 1]]
@@ -222,7 +238,12 @@ class CellIndex:
 
 @dataclass
 class Deployment:
-    """Immutable snapshot of one sampled network."""
+    """Immutable snapshot of one sampled network.
+
+    The secondary tier holds 28 B per node: its position (two float64), its
+    cell on the secondary grid (uint32), its entry in the primary-grid
+    member order (uint32) and its half of a pair (int32).
+    """
 
     config: SimConfig
     primary_grid: CellGrid
@@ -234,8 +255,8 @@ class Deployment:
     # flat cell index per node, on each grid that matters for its tier
     primary_cells: np.ndarray = field(repr=False, default=None)
     secondary_cells: np.ndarray = field(repr=False, default=None)
+    secondary_counts: np.ndarray = field(repr=False, default=None)  # nodes per secondary cell
     primary_index: CellIndex = field(repr=False, default=None)
-    secondary_index: CellIndex = field(repr=False, default=None)
     secondary_index_primary_grid: CellIndex = field(repr=False, default=None)
 
 
@@ -276,6 +297,8 @@ def build_deployment(config: SimConfig) -> Deployment:
         raise ConfigurationError(
             f"m={config.m:.4g} secondary nodes need about {need / 2**20:.0f} MB "
             f"at set-up, more than the {have / 2**20:.0f} MB of physical memory")
+    if config.m > ID_LIMIT:
+        raise ConfigurationError(f"m={config.m:.4g} secondary nodes overflow int32 node ids")
 
     primary_pos = sample_ppp(config.n, g_deploy)
     secondary_pos = sample_ppp(config.m, g_deploy)
@@ -283,9 +306,20 @@ def build_deployment(config: SimConfig) -> Deployment:
     primary_pairs = pair_sd(len(primary_pos), g_pairs)
     secondary_pairs = pair_sd(len(secondary_pos), g_pairs)
 
-    primary_cells = p_grid.cell_of(primary_pos) if len(primary_pos) else np.empty(0, np.int64)
-    sec_on_primary = p_grid.cell_of(secondary_pos) if len(secondary_pos) else np.empty(0, np.int64)
-    secondary_cells = s_grid.cell_of(secondary_pos) if len(secondary_pos) else np.empty(0, np.int64)
+    primary_cells = p_grid.cell_of(primary_pos)
+    # both cells of every secondary node, a chunk at a time; the primary-grid
+    # cell is kept only until its member order is placed (k_p**2 fits uint16
+    # below ID_LIMIT)
+    secondary_cells = np.empty(len(secondary_pos), dtype=np.uint32)
+    secondary_counts = np.zeros(s_grid.cell_count, dtype=np.int64)
+    sec_on_primary = np.empty(len(secondary_pos), dtype=np.uint16)
+    step = max(CHUNK, s_grid.cell_count)  # a pass also costs O(cells)
+    for i in range(0, len(secondary_pos), step):
+        chunk = secondary_pos[i : i + step]
+        cells = s_grid.cell_of(chunk)
+        secondary_cells[i : i + step] = cells
+        secondary_counts += np.bincount(cells, minlength=s_grid.cell_count)
+        sec_on_primary[i : i + step] = p_grid.cell_of(chunk)
 
     return Deployment(
         config=config,
@@ -297,8 +331,8 @@ def build_deployment(config: SimConfig) -> Deployment:
         secondary_pairs=secondary_pairs,
         primary_cells=primary_cells,
         secondary_cells=secondary_cells,
+        secondary_counts=secondary_counts,
         primary_index=CellIndex(primary_cells, p_grid.cell_count),
-        secondary_index=CellIndex(secondary_cells, s_grid.cell_count),
         secondary_index_primary_grid=CellIndex(sec_on_primary, p_grid.cell_count),
     )
 
@@ -311,7 +345,7 @@ def cell_occupancy(deployment: Deployment, relay_count: int = 1) -> OccupancyRep
     """
     prim = deployment.primary_index.counts
     sec_on_prim = deployment.secondary_index_primary_grid.counts
-    sec = deployment.secondary_index.counts
+    sec = deployment.secondary_counts
     return OccupancyReport(
         primary_per_primary_cell=prim,
         secondary_per_primary_cell=sec_on_prim,

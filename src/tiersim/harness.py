@@ -125,11 +125,6 @@ class SweepPlan:
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
 
-    @property
-    def n_decades(self) -> float:
-        ns = self.n_values
-        return math.log10(ns[-1] / ns[0]) if len(ns) > 1 else 0.0
-
 
 def sweep_configs(plan: SweepPlan) -> list[SimConfig]:
     out = []

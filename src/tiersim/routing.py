@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deployment import Deployment
+from .deployment import CHUNK, Deployment
 
 __all__ = [
     "RelayAssignment",
@@ -73,6 +73,26 @@ def _pick_per_cell(index, u: np.ndarray) -> np.ndarray:
     return chosen
 
 
+def _pick_by_rank(cells: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """_pick_per_cell without a member order: per cell, the member of rank
+    floor(u * count) in node-id order, found in one chunked pass over cells."""
+    rank = (u * counts).astype(np.int64)
+    chosen = np.full(len(counts), -1, dtype=np.int64)
+    seen = np.zeros(len(counts), dtype=np.int64)  # members in earlier chunks
+    step = max(CHUNK, len(counts))  # a pass also costs O(cells)
+    for i in range(0, len(cells), step):
+        chunk = cells[i : i + step]
+        here = np.bincount(chunk, minlength=len(counts))
+        # only cells whose pick lies in this chunk need ranks within it
+        ids = np.flatnonzero(((seen <= rank) & (rank < seen + here))[chunk])
+        ids = ids[np.argsort(chunk[ids], kind="stable")]
+        key = chunk[ids].astype(np.int64)
+        hit = seen[key] + np.arange(len(key)) - np.searchsorted(key, key) == rank[key]
+        chosen[key[hit]] = ids[hit] + i
+        seen += here
+    return chosen
+
+
 def select_relays(deployment: Deployment, seed) -> RelayAssignment:
     """Fix the designated relay of every cell for a whole run."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -95,7 +115,8 @@ def select_relays(deployment: Deployment, seed) -> RelayAssignment:
     primary_relay = np.where(is_sec, sec_pick, prim_pick)
     primary_relay[~occupied] = -1
 
-    secondary_relay = _pick_per_cell(deployment.secondary_index, rng.random(ks2))
+    secondary_relay = _pick_by_rank(deployment.secondary_cells, deployment.secondary_counts,
+                                    rng.random(ks2))
     return RelayAssignment(
         primary_relay=primary_relay,
         primary_relay_is_secondary=is_sec,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy
-from .deployment import PRIMARY, SECONDARY, CellIndex, ConfigurationError, Deployment
+from .deployment import CHUNK, PRIMARY, SECONDARY, CellIndex, ConfigurationError, Deployment
 from .routing import RelayAssignment, hv_path_cells, path_load_census
 from .scheduler import (
     TICKS,
@@ -57,7 +57,6 @@ AUDIT_BROADCASTS = 64      # broadcasts fully audited across all ticks
 AUDIT_RX_CAP = 64          # relay receivers sampled per audited broadcast
 AUDIT_BLOCK_COLS = 512     # broadcast audit: one power block per run of ticks starting in 512 relays
 AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
-CENSUS_CHUNK = 1 << 16     # secondary pairs per path-load census pass
 
 # audited hops as (transmitter (H,2), receiver (H,2), sending cell (H,)) arrays
 NO_HOPS = (np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
@@ -205,8 +204,8 @@ class TransportSim:
         # a pair without a handover node stays unservable: its packets are drops
         self.pair_int_dest = np.full(self.n_pairs_p, -1, dtype=np.int64)
         self.pair_int_dest[carried] = node[key_of]
-        self.pair_int_dest_cell = np.where(self.pair_int_dest >= 0,
-                                           dep.secondary_cells[self.pair_int_dest], -1)
+        self.pair_int_dest_cell = np.where(
+            self.pair_int_dest >= 0, dep.secondary_cells[self.pair_int_dest].astype(np.int64), -1)
 
         # pairs grouped by their source's cell, with a round-robin cursor per cell
         self.sources = CellIndex(src_cells, cell_count)
@@ -216,9 +215,13 @@ class TransportSim:
         dep = self.dep
         pairs = dep.secondary_pairs
         self.n_pairs_s = len(pairs)
-        # integer counts sum exactly, so chunks bound the census temporaries
-        census = sum(path_load_census(dep.secondary_cells[pairs[i : i + CENSUS_CHUNK]], self.k_s)
-                     for i in range(0, self.n_pairs_s, CENSUS_CHUNK))
+        # integer counts sum exactly, so chunks bound the census temporaries;
+        # a pass also costs O(cells), and the cells are widened first, as
+        # uint32 differences would wrap
+        step = max(CHUNK, self.gs.cell_count)
+        census = sum(path_load_census(
+            dep.secondary_cells[pairs[i : i + step]].astype(np.int64), self.k_s)
+            for i in range(0, self.n_pairs_s, step))
         self.census_max = int(census.max()) if self.n_pairs_s else 0
         self.packet_size_factor = 1.0 / self.census_max if self.census_max else float("nan")
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +196,16 @@ def test_pair_deterministic():
     assert np.array_equal(pair_sd(100, 9), pair_sd(100, 9))
 
 
+@pytest.mark.parametrize("count", [2, 3, 1000, 1001])
+def test_pairs_are_the_halves_of_a_permutation(count):
+    # pair i joins the i-th and (half + i)-th ids of permutation(count)
+    perm = np.random.default_rng(4).permutation(count)
+    half = count // 2
+    pairs = pair_sd(count, 4)
+    assert pairs.dtype == np.int32
+    assert np.array_equal(pairs, np.stack([perm[:half], perm[half : 2 * half]], axis=1))
+
+
 @given(st.integers(min_value=2, max_value=400), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_pairing_is_a_matching(count, seed):
@@ -245,8 +256,14 @@ CELLS_ABOVE = st.lists(st.builds(lambda hi, lo: hi << 16 | lo, st.integers(0, 15
 def test_cell_order_equals_stable_argsort(case):
     cells, cell_count = case
     cells = np.array(cells, dtype=np.int64)
-    index = CellIndex(cells, cell_count)
-    assert np.array_equal(index.order, np.argsort(cells, kind="stable"))
+    want = np.argsort(cells, kind="stable")
+    # counting placement a chunk at a time, with one chunk and with many
+    for chunk in (deployment.CHUNK, 7):
+        with mock.patch.object(deployment, "CHUNK", chunk):
+            index = CellIndex(cells, cell_count)
+        assert index.order.dtype == np.uint32
+        assert np.array_equal(index.order, want)
+        assert np.array_equal(index.counts, np.bincount(cells, minlength=cell_count))
 
 
 def test_build_deployment_fails_early_beyond_physical_memory(monkeypatch):
@@ -262,6 +279,41 @@ def test_build_deployment_fails_early_beyond_physical_memory(monkeypatch):
         build_deployment(cfg)
     assert f"{need / 2**20:.0f} MB" in str(err.value)
     assert f"{have / 2**20:.0f} MB" in str(err.value)
+
+
+def test_build_deployment_rejects_ids_beyond_int32(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a node tier was drawn before the id check")
+
+    monkeypatch.setattr(deployment, "sample_ppp", refuse)
+    monkeypatch.setattr(deployment, "SECONDARY_NODE_BYTES", 0)
+    with pytest.raises(ConfigurationError, match="int32"):
+        build_deployment(SimConfig(n=2.0**16))
+
+
+def test_secondary_tier_holds_28_bytes_per_node():
+    dep = build_deployment(SimConfig(n=128, seed=0))
+    held = (dep.secondary_pos, dep.secondary_cells, dep.secondary_pairs,
+            dep.secondary_index_primary_grid.order)
+    assert sum(a.nbytes for a in held) / len(dep.secondary_pos) <= 28
+
+
+def test_chunked_build_matches_whole_array_forms(monkeypatch):
+    # about 16 k secondary nodes in chunks of 1000: the per-node cells, the
+    # counts and the member order equal their whole-array forms
+    monkeypatch.setattr(deployment, "CHUNK", 1000)
+    dep = build_deployment(SimConfig(n=128, seed=2))
+    pos = dep.secondary_pos
+    cells = dep.secondary_grid.cell_of(pos)
+    assert dep.secondary_cells.dtype == np.uint32
+    assert np.array_equal(dep.secondary_cells, cells)
+    assert np.array_equal(dep.secondary_counts,
+                          np.bincount(cells, minlength=dep.secondary_grid.cell_count))
+    on_primary = dep.primary_grid.cell_of(pos)
+    assert np.array_equal(dep.secondary_index_primary_grid.order,
+                          np.argsort(on_primary, kind="stable"))
+    assert np.array_equal(dep.secondary_index_primary_grid.counts,
+                          np.bincount(on_primary, minlength=dep.primary_grid.cell_count))
 
 
 def test_deployment_refinement_consistency():

@@ -128,8 +128,6 @@ def test_sweep_plan_validation():
         SweepPlan(n_values=(128, 64))
     with pytest.raises(ValueError):
         SweepPlan(n_values=(64,), seeds=0)
-    assert abs(SweepPlan(n_values=(64, 1024)).n_decades - math.log10(16)) < 1e-12
-    assert SweepPlan(n_values=(64,)).n_decades == 0.0
 
 
 def test_sweep_configs_cross_product_order():

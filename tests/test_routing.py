@@ -1,10 +1,13 @@
 """HV paths, designated relays, and path-load counting."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capture_law import TAIL_LEVEL, capture_pool
+from secondary_index import SecondaryIndex
+from tiersim import routing
 from tiersim.deployment import SimConfig, build_deployment
 from tiersim.routing import hv_path_cells, path_load_census, select_relays
 
@@ -120,9 +123,25 @@ def test_secondary_capture_dominates():
 def test_empty_cells_get_no_relay():
     dep = build_deployment(SimConfig(n=100, seed=4))
     relays = select_relays(dep, 5)
-    empty = dep.secondary_index.counts == 0
+    empty = dep.secondary_counts == 0
     assert (relays.secondary_relay[empty] == -1).all()
     assert (relays.secondary_relay[~empty] >= 0).all()
+
+
+@pytest.mark.parametrize("chunk", [routing.CHUNK, 1000, 97])
+def test_secondary_relay_is_the_ranked_member(monkeypatch, chunk):
+    # the pick by rank over node chunks is the member of rank floor(u * count)
+    # in the cell's node-id order, drawn from the same uniforms
+    monkeypatch.setattr(routing, "CHUNK", chunk)
+    dep = build_deployment(SimConfig(n=128, seed=5))
+    relays = select_relays(dep, 6)
+    rng = np.random.default_rng(6)
+    rng.random(2 * dep.primary_grid.cell_count)  # the primary tier's draws
+    u = rng.random(dep.secondary_grid.cell_count)
+    index = SecondaryIndex(dep)
+    want = [index.members(c)[int(u[c] * count)] if count else -1
+            for c, count in enumerate(index.counts)]
+    assert np.array_equal(relays.secondary_relay, want)
 
 
 # ======== path load ========
