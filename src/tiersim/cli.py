@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+import typing
 
 from .deployment import ConfigurationError
 from .harness import (
@@ -25,8 +26,8 @@ from .transport import RunOptions
 # keys accepted in a --config file and by the flags of the same name: the
 # grids (one value or a list) and the scalar SweepPlan fields with their types
 GRID_KEYS = {"n": "n_values", "ap_scale": "ap_scale_values"}
-PLAN_KEYS = {"beta": float, "alpha": float, "power_const": float, "noise": float,
-             "seeds": int, "seed0": int, "frames": int, "warmup": int}
+PLAN_KEYS = {name: kind for name, kind in typing.get_type_hints(SweepPlan).items()
+             if name not in GRID_KEYS.values()}
 CONFIG_KEYS = GRID_KEYS.keys() | PLAN_KEYS.keys()
 
 

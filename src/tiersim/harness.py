@@ -2,10 +2,11 @@
 
 A sweep runs the transport simulation over a grid of (n, ap_scale, seed)
 points, averages per-point metrics over seeds, and fits log-log slopes of
-each measured quantity against the abscissa its scaling law predicts. All
-slopes are expected to be 1.0 against the composite abscissa; two constancy
-checks cover the primary throughput laws. The delay relation between the
-tiers is fitted as a straight line in natural units.
+each measured quantity against the abscissa its scaling law predicts. Each
+law is one row of LAWS, and every slope is expected to be 1.0 against its
+composite abscissa; the rows of CONSTANT are the two products the primary
+throughput laws hold constant. The delay relation between the tiers is
+fitted as a straight line in natural units.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +26,8 @@ from .transport import RunOptions, TransportSim, relay_count
 
 __all__ = [
     "CSV_COLUMNS",
+    "LAWS",
+    "CONSTANT",
     "ExperimentResult",
     "SweepPlan",
     "FitResult",
@@ -43,16 +47,13 @@ __all__ = [
     "format_fit_report",
 ]
 
-# the emitted result columns, in order, with the type each is written as
-COLUMN_TYPES = {
-    "n": float, "beta": float, "m": float, "a_p": float, "a_s": float,
-    "k_p": int, "k_s": int, "N": int,
-    "lambda_p": float, "T_p": float, "D_p": float,
-    "lambda_s": float, "T_s": float, "D_s": float,
-    "min_sinr_primary": float, "min_sinr_delivery": float, "min_sinr_secondary": float,
-    "drop_rate": float, "valid": bool, "seed": int,
-}
-CSV_COLUMNS = tuple(COLUMN_TYPES)
+# the emitted result columns, in order; each is written as its annotated type
+CSV_COLUMNS = (
+    "n", "beta", "m", "a_p", "a_s", "k_p", "k_s", "N",
+    "lambda_p", "T_p", "D_p", "lambda_s", "T_s", "D_s",
+    "min_sinr_primary", "min_sinr_delivery", "min_sinr_secondary",
+    "drop_rate", "valid", "seed",
+)
 
 WIDE_SPAN_DECADES = 1.5  # fits on a narrower abscissa are flagged, not refused
 
@@ -93,8 +94,9 @@ class ExperimentResult:
     records: list | None = None
 
     def columns(self) -> dict:
-        """The emitted columns, each converted to its COLUMN_TYPES type."""
-        return {name: kind(getattr(self, name)) for name, kind in COLUMN_TYPES.items()}
+        """The emitted columns, each converted to its annotated type."""
+        kinds = typing.get_type_hints(ExperimentResult)
+        return {name: kinds[name](getattr(self, name)) for name in CSV_COLUMNS}
 
     def csv_row(self) -> list:
         return [str(v).lower() if isinstance(v, bool) else str(v)
@@ -140,17 +142,15 @@ def sweep_configs(plan: SweepPlan) -> list[SimConfig]:
 
 
 def prepare(config: SimConfig, options: RunOptions | None = None) -> TransportSim:
-    """Assemble one run: deployment, relays, occupancy and the transport sim.
+    """Assemble one run: deployment, relays and the transport sim.
 
     Relays come from the relay stream of rng_streams and the sim runs on the
-    transport stream. The sim keeps the occupancy report as sim.occupancy.
+    transport stream.
     """
     _, _, g_relays, g_transport = rng_streams(config.seed)
     dep = build_deployment(config)
     relays = select_relays(dep, g_relays)
-    sim = TransportSim(dep, relays, options or RunOptions(), g_transport)
-    sim.occupancy = cell_occupancy(dep, sim.n_relays)
-    return sim
+    return TransportSim(dep, relays, options or RunOptions(), g_transport)
 
 
 def run_point(config: SimConfig, options: RunOptions | None = None) -> ExperimentResult:
@@ -158,7 +158,8 @@ def run_point(config: SimConfig, options: RunOptions | None = None) -> Experimen
     sim = prepare(config, options)
     sim.run()
     met = sim.metrics()
-    dep, occ = sim.dep, sim.occupancy
+    dep = sim.dep
+    occ = cell_occupancy(dep, sim.n_relays)
     valid = met["drop_rate"] <= 0.01 and not occ.any_empty_primary_cell
     extras = {k: met[k] for k in (
         "delivered_secondary", "delivered_carried", "delivered_direct",
@@ -199,29 +200,46 @@ def run_sweep(plan: SweepPlan, options: RunOptions | None = None) -> list[Experi
 
 
 def fit_exponent(points) -> tuple[float, float, float]:
-    """Least-squares line through (ln x, ln y); residual is the max |log miss|."""
+    """fit_line through (ln x, ln y); residual is the max |log miss|."""
     pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 3:
-        raise ValueError(f"exponent fit needs >= 3 points, got {len(pts)}")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("exponent fit needs positive x and y")
-    lx = np.log([p[0] for p in pts])
-    ly = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residual = float(np.abs(ly - (slope * lx + intercept)).max())
-    return float(slope), float(intercept), residual
+    return fit_line(np.log(pts))
 
 
 def fit_line(points) -> tuple[float, float, float]:
     """Plain least-squares line in natural units; residual is the max |miss|."""
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
-        raise ValueError(f"linear fit needs >= 3 points, got {len(pts)}")
+        raise ValueError(f"line fit needs >= 3 points, got {len(pts)}")
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.abs(y - (slope * x + intercept)).max())
     return float(slope), float(intercept), residual
+
+
+# one row per exponent fit: name, quantity, abscissa label, the abscissa of a
+# seed-averaged group, and whether the fit prefers the fixed-n ap_scale ladder
+LAWS = (
+    ("lambda_s", "lambda_s", "1/(m*sqrt(a_s))",
+     lambda g: 1.0 / (g["m"] * math.sqrt(g["a_s"])), False),
+    ("T_s", "T_s", "1/sqrt(a_s)", lambda g: 1.0 / math.sqrt(g["a_s"]), False),
+    ("D_s", "D_s", "1/sqrt(a_s)", lambda g: 1.0 / math.sqrt(g["a_s"]), False),
+    ("D_s_tradeoff", "D_s", "m*lambda_s", lambda g: g["m"] * g["lambda_s"], True),
+    ("lambda_p", "lambda_p", "1/(n*a_p)", lambda g: 1.0 / (g["n"] * g["a_p"]), False),
+    ("T_p", "T_p", "1/a_p", lambda g: 1.0 / g["a_p"], False),
+    ("D_p", "D_p", "sqrt(m*ln m)/(n*a_p)",
+     lambda g: math.sqrt(g["m"] * math.log(g["m"])) / (g["n"] * g["a_p"]), False),
+    ("D_p_tradeoff", "D_p", "sqrt(m*ln n)*lambda_p",
+     lambda g: math.sqrt(g["m"] * math.log(g["n"])) * g["lambda_p"], False),
+)
+
+# the products the primary throughput laws hold constant over n at ap_scale 1
+CONSTANT = (
+    ("lambda_p*n*a_p", lambda g: g["lambda_p"] * g["n"] * g["a_p"]),
+    ("lambda_p*ln n", lambda g: g["lambda_p"] * math.log(g["n"])),
+)
 
 
 @dataclass
@@ -265,14 +283,14 @@ class LinearFit:
 class FitReport:
     fits: dict
     constancy: dict
-    linear: LinearFit | None
+    linear: LinearFit
     used_runs: int
     total_runs: int
 
     def failures(self) -> list[str]:
         bad = [k for k, f in self.fits.items() if f.verdict != "pass"]
         bad += [k for k, c in self.constancy.items() if c.verdict != "pass"]
-        if self.linear is None or self.linear.verdict != "pass":
+        if self.linear.verdict != "pass":
             bad.append("pdelay_linear")
         return bad
 
@@ -285,7 +303,7 @@ class FitReport:
             "fits": {k: vars(f) | {"narrow_span": f.narrow_span}
                      for k, f in self.fits.items()},
             "constancy": {k: vars(c) for k, c in self.constancy.items()},
-            "pdelay_linear": vars(self.linear) if self.linear else None,
+            "pdelay_linear": vars(self.linear),
             "used_runs": self.used_runs,
             "total_runs": self.total_runs,
             "all_pass": self.all_pass,
@@ -310,104 +328,70 @@ def _group_means(results) -> list[dict]:
     return out
 
 
-def _fit(quantity, abscissa, pts, tolerance) -> FitResult:
-    clean = [(x, y) for x, y in pts
-             if np.isfinite(x) and np.isfinite(y) and x > 0 and y > 0]
-    if len(clean) < 3:
-        return FitResult(quantity, abscissa, float("nan"), float("nan"),
-                         float("nan"), len(clean), 0.0, 1.0, tolerance,
-                         "inconclusive")
-    slope, intercept, residual = fit_exponent(clean)
-    xs = [x for x, _ in clean]
-    decades = math.log10(max(xs) / min(xs))
-    verdict = "pass" if abs(slope - 1.0) <= tolerance else "fail"
-    return FitResult(quantity, abscissa, slope, intercept, residual,
-                     len(clean), decades, 1.0, tolerance, verdict)
+def _finite_positive(*values) -> bool:
+    return all(math.isfinite(v) and v > 0 for v in values)
 
 
 def check_theorems(results, tolerance_slope: float = 0.15,
                    tolerance_const: float = 2.0) -> FitReport:
     """Fit every scaling law on seed-averaged valid runs and attach verdicts.
 
-    Exponent fits use the composite abscissa of each law, so the expected
-    slope is 1.0 everywhere. The tradeoff fit D_s vs m*lambda_s prefers a
-    subgroup that varies ap_scale at fixed n when one exists, since that is
-    the sweep the tradeoff describes; otherwise it uses all points. The
-    inter-tier delay relation is fitted in natural units with the slope
-    checked against [0.5, 2] x 3/64 and the intercept reported as measured.
+    Each row of LAWS is fitted on its composite abscissa, so the expected
+    slope is 1.0 everywhere. A row flagged for the ladder (the tradeoff fit
+    D_s vs m*lambda_s) uses the fixed-n subgroup with the most ap_scale
+    values when it has at least three, since that is the sweep the tradeoff
+    describes; otherwise it uses all points. Each row of CONSTANT is checked
+    on the ap_scale-1 points. The inter-tier delay relation is fitted in
+    natural units with the slope checked against [0.5, 2] x 3/64 and the
+    intercept reported as measured. Every check uses only the points whose
+    values are finite and positive, and is inconclusive when too few remain.
     """
     usable = [r for r in results if r.valid and not r.low_confidence]
     groups = _group_means(usable)
-    tol = tolerance_slope
-
-    fits = {}
-    fits["lambda_s"] = _fit(
-        "lambda_s", "1/(m*sqrt(a_s))",
-        [(1.0 / (g["m"] * math.sqrt(g["a_s"])), g["lambda_s"]) for g in groups], tol)
-    fits["T_s"] = _fit(
-        "T_s", "1/sqrt(a_s)",
-        [(1.0 / math.sqrt(g["a_s"]), g["T_s"]) for g in groups], tol)
-    fits["D_s"] = _fit(
-        "D_s", "1/sqrt(a_s)",
-        [(1.0 / math.sqrt(g["a_s"]), g["D_s"]) for g in groups], tol)
+    nan = float("nan")
 
     by_n: dict = {}
     for g in groups:
         by_n.setdefault((g["n"], g["beta"]), []).append(g)
-    tradeoff_groups = groups
-    best = max(by_n.values(), key=lambda gs: len({g["ap_scale"] for g in gs}),
-               default=[])
-    if len({g["ap_scale"] for g in best}) >= 3:
-        tradeoff_groups = best
-    fits["D_s_tradeoff"] = _fit(
-        "D_s", "m*lambda_s",
-        [(g["m"] * g["lambda_s"], g["D_s"]) for g in tradeoff_groups], tol)
+    ladder = max(by_n.values(), key=lambda gs: len({g["ap_scale"] for g in gs}),
+                 default=[])
+    if len({g["ap_scale"] for g in ladder}) < 3:
+        ladder = groups
 
-    fits["lambda_p"] = _fit(
-        "lambda_p", "1/(n*a_p)",
-        [(1.0 / (g["n"] * g["a_p"]), g["lambda_p"]) for g in groups], tol)
-    fits["T_p"] = _fit(
-        "T_p", "1/a_p",
-        [(1.0 / g["a_p"], g["T_p"]) for g in groups], tol)
-    fits["D_p"] = _fit(
-        "D_p", "sqrt(m*ln m)/(n*a_p)",
-        [(math.sqrt(g["m"] * math.log(g["m"])) / (g["n"] * g["a_p"]), g["D_p"])
-         for g in groups], tol)
-    fits["D_p_tradeoff"] = _fit(
-        "D_p", "sqrt(m*ln n)*lambda_p",
-        [(math.sqrt(g["m"] * math.log(g["n"])) * g["lambda_p"], g["D_p"])
-         for g in groups], tol)
+    fits = {}
+    for name, quantity, abscissa, x_of, on_ladder in LAWS:
+        pts = [(x_of(g), g[quantity]) for g in (ladder if on_ladder else groups)]
+        pts = [p for p in pts if _finite_positive(*p)]
+        slope = intercept = residual = nan
+        decades, verdict = 0.0, "inconclusive"
+        if len(pts) >= 3:
+            slope, intercept, residual = fit_exponent(pts)
+            xs = [x for x, _ in pts]
+            decades = math.log10(max(xs) / min(xs))
+            verdict = "pass" if abs(slope - 1.0) <= tolerance_slope else "fail"
+        fits[name] = FitResult(quantity, abscissa, slope, intercept, residual,
+                               len(pts), decades, 1.0, tolerance_slope, verdict)
 
     constancy = {}
     base = [g for g in groups if g["ap_scale"] == 1.0]
-    for name, values in (
-        ("lambda_p*n*a_p", [g["lambda_p"] * g["n"] * g["a_p"] for g in base]),
-        ("lambda_p*ln n", [g["lambda_p"] * math.log(g["n"]) for g in base]),
-    ):
-        vals = [v for v in values if np.isfinite(v) and v > 0]
-        if len(vals) < 2:
-            constancy[name] = ConstancyResult(name, float("nan"),
-                                              tolerance_const, len(vals),
-                                              "inconclusive")
-        else:
+    for name, product in CONSTANT:
+        vals = [v for v in map(product, base) if _finite_positive(v)]
+        ratio, verdict = nan, "inconclusive"
+        if len(vals) >= 2:
             ratio = max(vals) / min(vals)
             verdict = "pass" if ratio < tolerance_const else "fail"
-            constancy[name] = ConstancyResult(name, ratio, tolerance_const,
-                                              len(vals), verdict)
+        constancy[name] = ConstancyResult(name, ratio, tolerance_const,
+                                          len(vals), verdict)
 
-    linear = None
-    pd_pts = [(g["D_s"], g["D_p"]) for g in groups
-              if np.isfinite(g["D_s"]) and np.isfinite(g["D_p"])]
-    if len(pd_pts) >= 3:
-        slope, intercept, residual = fit_line(pd_pts)
-        lo, hi = 0.5 * 3 / TICKS, 2.0 * 3 / TICKS
+    pts = [(g["D_s"], g["D_p"]) for g in groups]
+    pts = [p for p in pts if _finite_positive(*p)]
+    lo, hi = 0.5 * 3 / TICKS, 2.0 * 3 / TICKS
+    slope = intercept = residual = nan
+    verdict = "inconclusive"
+    if len(pts) >= 3:
+        slope, intercept, residual = fit_line(pts)
         verdict = "pass" if lo <= slope <= hi else "fail"
-        linear = LinearFit(slope, intercept, residual, len(pd_pts),
-                           (lo, hi), verdict)
-    else:
-        linear = LinearFit(float("nan"), float("nan"), float("nan"),
-                           len(pd_pts), (0.5 * 3 / TICKS, 2.0 * 3 / TICKS),
-                           "inconclusive")
+    linear = LinearFit(slope, intercept, residual, len(pts), (lo, hi), verdict)
 
     return FitReport(fits=fits, constancy=constancy, linear=linear,
                      used_runs=len(usable), total_runs=len(results))

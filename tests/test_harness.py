@@ -118,6 +118,94 @@ def test_format_fit_report_carries_verdicts():
     assert "linear D_p vs D_s" in text
 
 
+def _forced_fail():
+    # D_p tilted by n**0.3 fails both D_p fits; a unit bound fails constancy
+    results = planted_results()
+    for r in results:
+        r.D_p *= r.n ** 0.3
+    return check_theorems(results, tolerance_const=1.0)
+
+
+PINNED_REPORTS = {
+    "planted": (lambda: check_theorems(planted_results()), """\
+runs used: 5/5
+fit lambda_s vs 1/(m*sqrt(a_s)): slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.32 [narrow span] -> pass
+fit T_s vs 1/sqrt(a_s): slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.09 [narrow span] -> pass
+fit D_s vs 1/sqrt(a_s): slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.09 [narrow span] -> pass
+fit D_s_tradeoff vs m*lambda_s: slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.09 [narrow span] -> pass
+fit lambda_p vs 1/(n*a_p): slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=0.22 [narrow span] -> pass
+fit T_p vs 1/a_p: slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=0.98 [narrow span] -> pass
+fit D_p vs sqrt(m*ln m)/(n*a_p): slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.09 [narrow span] -> pass
+fit D_p_tradeoff vs sqrt(m*ln n)*lambda_p: slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.09 [narrow span] -> pass
+constancy lambda_p*n*a_p: max/min=1.0000 (bound 2.00), points=5 -> pass
+constancy lambda_p*ln n: max/min=1.0000 (bound 2.00), points=5 -> pass
+linear D_p vs D_s: slope=1.414214 (band [0.023438, 0.093750]), intercept C=-0.000, residual=0.000, points=5 -> fail
+overall: FAIL (pdelay_linear)"""),
+    "inconclusive": (lambda: check_theorems(planted_results(n_values=(64, 128))), """\
+runs used: 2/2
+fit lambda_s vs 1/(m*sqrt(a_s)): slope=nan (expect 1.00 +/- 0.15), residual=nan, points=2, decades=0.00 [narrow span] -> inconclusive
+fit T_s vs 1/sqrt(a_s): slope=nan (expect 1.00 +/- 0.15), residual=nan, points=2, decades=0.00 [narrow span] -> inconclusive
+fit D_s vs 1/sqrt(a_s): slope=nan (expect 1.00 +/- 0.15), residual=nan, points=2, decades=0.00 [narrow span] -> inconclusive
+fit D_s_tradeoff vs m*lambda_s: slope=nan (expect 1.00 +/- 0.15), residual=nan, points=2, decades=0.00 [narrow span] -> inconclusive
+fit lambda_p vs 1/(n*a_p): slope=nan (expect 1.00 +/- 0.15), residual=nan, points=2, decades=0.00 [narrow span] -> inconclusive
+fit T_p vs 1/a_p: slope=nan (expect 1.00 +/- 0.15), residual=nan, points=2, decades=0.00 [narrow span] -> inconclusive
+fit D_p vs sqrt(m*ln m)/(n*a_p): slope=nan (expect 1.00 +/- 0.15), residual=nan, points=2, decades=0.00 [narrow span] -> inconclusive
+fit D_p_tradeoff vs sqrt(m*ln n)*lambda_p: slope=nan (expect 1.00 +/- 0.15), residual=nan, points=2, decades=0.00 [narrow span] -> inconclusive
+constancy lambda_p*n*a_p: max/min=1.0000 (bound 2.00), points=2 -> pass
+constancy lambda_p*ln n: max/min=1.0000 (bound 2.00), points=2 -> pass
+linear D_p vs D_s: slope=nan (band [0.023438, 0.093750]), intercept C=nan, residual=nan, points=2 -> inconclusive
+overall: FAIL (lambda_s, T_s, D_s, D_s_tradeoff, lambda_p, T_p, D_p, D_p_tradeoff, pdelay_linear)"""),
+    "forced_fail": (_forced_fail, """\
+runs used: 5/5
+fit lambda_s vs 1/(m*sqrt(a_s)): slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.32 [narrow span] -> pass
+fit T_s vs 1/sqrt(a_s): slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.09 [narrow span] -> pass
+fit D_s vs 1/sqrt(a_s): slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.09 [narrow span] -> pass
+fit D_s_tradeoff vs m*lambda_s: slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=1.09 [narrow span] -> pass
+fit lambda_p vs 1/(n*a_p): slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=0.22 [narrow span] -> pass
+fit T_p vs 1/a_p: slope=1.0000 (expect 1.00 +/- 0.15), residual=0.0000, points=5, decades=0.98 [narrow span] -> pass
+fit D_p vs sqrt(m*ln m)/(n*a_p): slope=1.3303 (expect 1.00 +/- 0.15), residual=0.0028, points=5, decades=1.09 [narrow span] -> fail
+fit D_p_tradeoff vs sqrt(m*ln n)*lambda_p: slope=1.3303 (expect 1.00 +/- 0.15), residual=0.0028, points=5, decades=1.09 [narrow span] -> fail
+constancy lambda_p*n*a_p: max/min=1.0000 (bound 1.00), points=5 -> fail
+constancy lambda_p*ln n: max/min=1.0000 (bound 1.00), points=5 -> fail
+linear D_p vs D_s: slope=11.987826 (band [0.023438, 0.093750]), intercept C=-189.354, residual=97.453, points=5 -> fail
+overall: FAIL (D_p, D_p_tradeoff, lambda_p*n*a_p, lambda_p*ln n, pdelay_linear)"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_fit_report_text_and_keys_are_pinned(case):
+    make, text = PINNED_REPORTS[case]
+    report = make()
+    assert format_fit_report(report) == text
+    doc = report.to_dict()
+    assert list(doc) == ["fits", "constancy", "pdelay_linear",
+                         "used_runs", "total_runs", "all_pass"]
+    assert list(doc["fits"]) == ["lambda_s", "T_s", "D_s", "D_s_tradeoff",
+                                 "lambda_p", "T_p", "D_p", "D_p_tradeoff"]
+    for f in doc["fits"].values():
+        assert list(f) == ["quantity", "abscissa", "slope", "intercept", "residual",
+                           "points", "x_decades", "expected", "tolerance",
+                           "verdict", "narrow_span"]
+    assert list(doc["constancy"]) == ["lambda_p*n*a_p", "lambda_p*ln n"]
+    for c in doc["constancy"].values():
+        assert list(c) == ["quantity", "ratio", "bound", "points", "verdict"]
+    assert list(doc["pdelay_linear"]) == ["slope", "intercept", "residual",
+                                          "points", "slope_band", "verdict"]
+    json.dumps(doc)  # the report must stay JSON-serialisable
+
+
+def test_non_finite_values_are_filtered_per_check():
+    results = planted_results()
+    results[0].D_s = float("nan")
+    report = check_theorems(results)
+    for name, f in report.fits.items():
+        assert f.points == (4 if name in ("D_s", "D_s_tradeoff") else 5), name
+        assert f.verdict == "pass", name
+    for c in report.constancy.values():
+        assert c.points == 5
+    assert report.linear.points == 4
+
+
 # ======== sweep plan and runner ========
 
 
