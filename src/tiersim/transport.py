@@ -14,7 +14,8 @@ collection region. Sources are saturated: an occupied cell transmits every
 time it is active, sources within a cell taking turns. Bundles are rows of
 one table indexed by bundle id in launch order, a bundle's path is a slice of
 one flat array of secondary cells, and the bundles in flight and the delivery
-roster are arrays of bundle ids.
+roster are arrays of bundle ids. The primary delay and roster wait are
+summed from the table's frame stamps when metrics are read.
 
 Secondary traffic is simulated for a sampled subset of pairs. Motion is
 exact per the cell schedule; rates are scaled by the fluid packet-size
@@ -58,7 +59,8 @@ AUDIT_RX_CAP = 64          # relay receivers sampled per audited broadcast
 AUDIT_BLOCK_COLS = 512     # broadcast audit: one power block per run of ticks starting in 512 relays
 AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
 
-# audited hops as (transmitter (H,2), receiver (H,2), sending cell (H,)) arrays
+# a subframe's transmissions as (transmitter (H,2), receiver (H,2), cell (H,))
+# arrays: the sending secondary cell of a hop, the sink cell of a handover
 NO_HOPS = (np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
 
 
@@ -76,7 +78,6 @@ class RunOptions:
     sample_pairs: int = 256
     audit_frames: int = 512      # SINR audit window starting at warmup
     collect_records: bool = False
-    log_tx_frames: int = 0       # log every secondary TX cell for this many frames
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,6 @@ class TransportSim:
         self.delivered_s = 0
         self.delivered_s_post = 0
         self.delay_s_sum = 0.0
-        self.delay_p_sum = 0.0
-        self.delivered_carried_post = 0
-        self.wait_sum = 0.0
         self.table = np.empty(64, dtype=BUNDLE)
         self.n_launched = 0
         self.b_path = np.empty(4096, dtype=np.int64)
@@ -161,8 +159,6 @@ class TransportSim:
         self.report = phy.RateReport()
         self._audited_broadcasts = 0
         self._packet_seq = 0
-        self.tx_log_frames: list[int] = []
-        self.tx_log_cells: list[int] = []
 
     # ======== setup ========
 
@@ -284,14 +280,6 @@ class TransportSim:
 
     # ======== per-frame mechanics ========
 
-    def _logging(self, t: int) -> bool:
-        return self.cfg.warmup_frames <= t < self.cfg.warmup_frames + self.opt.log_tx_frames
-
-    def _log_tx(self, t: int, cells) -> None:
-        """Log secondary TX cells of frame t; callers check _logging(t) first."""
-        self.tx_log_frames.extend([t] * len(cells))
-        self.tx_log_cells.extend(int(c) for c in cells)
-
     def _in_audit(self, t: int) -> bool:
         return self.cfg.warmup_frames <= t < self.cfg.warmup_frames + self.opt.audit_frames
 
@@ -376,8 +364,6 @@ class TransportSim:
         q -= move
         # a pair's last position is emptied every frame, so no hop crosses blocks
         q[:-1] += move[1:]
-        if self._logging(t):
-            self._log_tx(t, self.q_cell[move])
 
         moved_hops = NO_HOPS
         if self._in_audit(t):
@@ -421,8 +407,9 @@ class TransportSim:
         at = tab["off"][ids] + tab["pos"][ids]
         cells = self.b_path[at]
         pairs = tab["pair"][ids]
-        # segments only land by the end of the broadcast slot
-        hop = np.flatnonzero((tab["born"][ids] != t) & ~blocked[cells])
+        # a fresh bundle waits out its broadcast frame unchecked: its first
+        # cell lies in its source's preservation region
+        hop = np.flatnonzero(~blocked[cells])
         # one bundle per (cell, pair) hops, the earliest launched
         key = cells[hop] * self.n_pairs_p + pairs[hop]
         if len(set(key.tolist())) < len(key):
@@ -433,8 +420,6 @@ class TransportSim:
         pos = tab["pos"][moved] + 1
         tab["pos"][moved] = pos
         arrived = pos == tab["length"][moved] - 1
-        if self._logging(t):
-            self._log_tx(t, sent)
         done = moved[arrived]
         if len(done):
             tab["arrival"][done] = t  # joins the delivery roster next frame
@@ -449,20 +434,21 @@ class TransportSim:
                       self.sec_pos[self.sec_relay[new_cell]])
         return tx, rx, sent
 
-    def _deliver(self, t: int, open_row: np.ndarray) -> list:
-        """Subframe 3: greedy clear collection regions, one packet per sink node."""
+    def _deliver(self, t: int, open_row: np.ndarray) -> tuple:
+        """Subframe 3: greedy clear collection regions, one packet per sink node;
+        returns (int-dest (D,2), destination (D,2), sink cell (D,)) arrays."""
         if not len(self.pending):
-            return []
+            return NO_HOPS
         tab = self.table
         ready = self.pending[tab["arrival"][self.pending] < t]  # arrived before this frame
         if not len(ready):
-            return []
+            return NO_HOPS
         pairs = tab["pair"][ready]
         sinks = self.pair_sink[pairs].tolist()
         admitted = set(place_collection_regions(sinks, open_row, self.k_p,
                                                 self.k_s // self.k_p))
         if not admitted:
-            return []
+            return NO_HOPS
         # one packet per int-dest, the first ready in roster order. The pairs
         # are a matching, so a sink node's one pair fixes its int-dest, and a
         # busy sink node always means a busy int-dest.
@@ -476,20 +462,13 @@ class TransportSim:
         tab["delivered"][done] = t
         self.pending = self.pending[tab["delivered"][self.pending] < 0]
         self.delivered_carried += len(done)
-        if self._logging(t):
-            self._log_tx(t, self.pair_int_dest_cell[pairs])
-        born = tab["born"][done]
-        if t >= self.cfg.warmup_frames:
-            self.delivered_carried_post += len(done)
-            self.delay_p_sum += float((3 * (t - born) + 2).sum())
-            self.wait_sum += float((t - tab["arrival"][done]).sum())
         if self.opt.collect_records:
-            for b_born, length in zip(born.tolist(), tab["length"][done].tolist()):
+            for born, length in zip(tab["born"][done].tolist(), tab["length"][done].tolist()):
                 self.records.append(PacketRecord(
-                    self._next_id(), PRIMARY, 3 * b_born, 3 * t + 2, length,
+                    self._next_id(), PRIMARY, 3 * born, 3 * t + 2, length,
                     self.n_relays))
-        return list(zip(self.sec_pos[int_dest], self.pri_pos[self.pairs_p[pairs, 1]],
-                        self.pair_sink[pairs].tolist()))
+        return (self.sec_pos[int_dest], self.pri_pos[self.pairs_p[pairs, 1]],
+                self.pair_sink[pairs])
 
     # ======== SINR audit ========
 
@@ -501,16 +480,15 @@ class TransportSim:
         live_rows = np.flatnonzero(live)
         bounds = np.searchsorted(live_rows, self.relay_tick_bounds)
         bc_pos = np.array([b[0] for b in broadcasts]).reshape(-1, 2)
-        deliv_tx = np.array([d[0] for d in deliveries]).reshape(-1, 2)
+        deliv_tx, _, sink_of = deliveries
 
         self._audit_hops(hops, live, live_rows, bounds, bc_pos)
 
-        sink_of = np.array([d[2] for d in deliveries], dtype=np.int64)
-        for tx_int_dest, rx_dst, sink in deliveries:
+        for tx_int_dest, rx_dst, sink in zip(*deliveries):
             # same-region deliveries take distinct ticks of the subframe,
             # so only other regions' transmitters interfere
             others = deliv_tx[sink_of != sink]
-            s = phy.sinr_at(rx_dst[None, :], np.asarray(tx_int_dest, dtype=float),
+            s = phy.sinr_at(rx_dst[None, :], tx_int_dest,
                             self.p_p, np.vstack([others, bc_pos]), self.p_p, noise, alpha)
             self.report.record("delivery", s)
 
@@ -612,7 +590,13 @@ class TransportSim:
                   if self.n_sampled else 0.0)
         # zero traffic reports zero throughput, not nan; delay stays undefined
         lambda_s = rate_s * self.packet_size_factor if rate_s else 0.0
-        delivered_p_post = self.delivered_carried_post + self.delivered_direct_post
+        # carried deliveries from warmup on, summed exactly from the table
+        tab = self.table[: self.n_launched]
+        done = tab[tab["delivered"] >= cfg.warmup_frames]
+        carried = len(done)
+        delay_p = int((3 * (done["delivered"] - done["born"]) + 2).sum())
+        wait = int((done["delivered"] - done["arrival"]).sum())
+        delivered_p_post = carried + self.delivered_direct_post
         lambda_p = (delivered_p_post / (self.n_pairs_p * span * 3)
                     if self.n_pairs_p else float("nan"))
         injected = self.injected_p + self.injected_s
@@ -620,8 +604,7 @@ class TransportSim:
         return {
             "lambda_p": lambda_p,
             "T_p": lambda_p * self.n_pairs_p,
-            "D_p": (self.delay_p_sum / self.delivered_carried_post
-                    if self.delivered_carried_post else float("nan")),
+            "D_p": delay_p / carried if carried else float("nan"),
             "lambda_s": lambda_s,
             "T_s": lambda_s * pairs_s,
             "D_s": (self.delay_s_sum / self.delivered_s_post
@@ -631,16 +614,14 @@ class TransportSim:
             "min_sinr_secondary": self.report.floor("secondary"),
             "drop_rate": dropped / injected if injected else 0.0,
             "delivered_secondary": self.delivered_s_post,
-            "delivered_carried": self.delivered_carried_post,
+            "delivered_carried": carried,
             "delivered_direct": self.delivered_direct_post,
-            "pending_wait": (self.wait_sum / self.delivered_carried_post
-                             if self.delivered_carried_post else float("nan")),
+            "pending_wait": wait / carried if carried else float("nan"),
             "census_max": self.census_max,
             "packet_size_factor": self.packet_size_factor,
             # all N segments ride the lead relay's path and land on one tick
             "segment_gap_within_frame": 1.0 if self.delivered_carried else float("nan"),
             "segment_gap_max": 0,
-            "low_confidence": (self.delivered_s_post < 30
-                               or self.delivered_carried_post < 30),
+            "low_confidence": self.delivered_s_post < 30 or carried < 30,
             "audit_samples": dict(self.report.samples),
         }

@@ -75,7 +75,7 @@ def reference_audit_frame(sim: TransportSim, t, broadcasts, hops, deliveries) ->
     noise, alpha = sim.cfg.noise, sim.cfg.alpha
     sets = tick_sets(sim, t % TICKS)
     bc_pos = np.array([b[0] for b in broadcasts]).reshape(-1, 2)
-    deliv_tx = np.array([d[0] for d in deliveries]).reshape(-1, 2)
+    deliv_tx, _, sink_of = deliveries
 
     for tx, rx, prev_cell in zip(*hops):
         cells, pos = sets[int(sim.sigma_s[prev_cell])]
@@ -87,8 +87,7 @@ def reference_audit_frame(sim: TransportSim, t, broadcasts, hops, deliveries) ->
                     int_pos, int_pow, noise, alpha)
         sim.report.record("secondary", s)
 
-    sink_of = np.array([d[2] for d in deliveries], dtype=np.int64)
-    for tx_int_dest, rx_dst, sink in deliveries:
+    for tx_int_dest, rx_dst, sink in zip(*deliveries):
         others = deliv_tx[sink_of != sink]
         int_pos = np.vstack([others, bc_pos])
         int_pow = np.full(len(int_pos), sim.p_p)

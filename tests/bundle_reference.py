@@ -4,12 +4,14 @@ This is the primary carry as it ran before the table: every bundle is one
 SegmentBundle object holding its own path, the bundles in flight and the
 delivery roster are lists of them, a Python loop hops each bundle in
 _advance_bundles, and _deliver removes delivered bundles by identity. The
-table must reproduce its hops, arrivals, deliveries, records, TX log and
-traced packet exactly. The per-segment arrival ticks it once kept are left
-out: every segment rode the lead relay's path, so they were all equal.
+table must reproduce its hops, arrivals, deliveries, records, primary
+delay and wait sums, and traced packet exactly. The per-segment arrival
+ticks it once kept are left out: every segment rode the lead relay's path,
+so they were all equal.
 Delivery admits collection regions by rectangle overlap (region_reference),
 not by the scheduler's clearance rule.
-Broadcast events are (transmitter, receivers) pairs, as the audit reads them.
+Broadcast events are (transmitter, receivers) pairs and deliveries are
+(int-dest, destination, sink cell) arrays, as the audit reads them.
 use_reference_bundles installs it on one TransportSim instance.
 """
 
@@ -73,6 +75,14 @@ def reference_trace(sim: TransportSim) -> dict:
     }
 
 
+def reference_sums(sim: TransportSim) -> tuple[int, int]:
+    """Sums of 3 (delivered - born) + 2 and of delivered - arrival, in
+    frames, over the bundles delivered from warmup on."""
+    post = [b for b in sim.delivered_bundles if b.delivered_frame >= sim.cfg.warmup_frames]
+    return (sum(3 * (b.delivered_frame - b.born) + 2 for b in post),
+            sum(b.delivered_frame - b.arrival_frame for b in post))
+
+
 def reference_broadcast(sim: TransportSim, t: int) -> list:
     events = []
     for cell in sim.phase_cells[t % TICKS]:
@@ -127,14 +137,10 @@ def reference_arrived(sim: TransportSim, b: SegmentBundle, t: int) -> None:
 def reference_advance_bundles(sim: TransportSim, t: int, blocked: np.ndarray) -> tuple:
     """Subframe 2: bundles hop atomically, one bundle per cell per pair."""
     audit = sim._in_audit(t)
-    logged = sim._logging(t)
     tx, rx, sent = [], [], []
     still: list[SegmentBundle] = []
     taken: set[tuple[int, int]] = set()
     for b in sim.bundles:
-        if b.born == t:  # segments only land by the end of the broadcast slot
-            still.append(b)
-            continue
         cell = int(b.path[b.pos])
         key = (cell, b.pair)
         if key in taken or blocked[cell]:
@@ -142,8 +148,6 @@ def reference_advance_bundles(sim: TransportSim, t: int, blocked: np.ndarray) ->
             continue
         taken.add(key)
         b.pos += 1
-        if logged:
-            sim._log_tx(t, (cell,))
         new_cell = int(b.path[b.pos])
         if audit:
             tx.append(b.lead_pos if b.pos == 1 else sim.sec_pos[sim.sec_relay[cell]])
@@ -160,7 +164,7 @@ def reference_advance_bundles(sim: TransportSim, t: int, blocked: np.ndarray) ->
     return np.array(tx), np.array(rx), np.array(sent, dtype=np.int64)
 
 
-def reference_deliver(sim: TransportSim, t: int, _open_row) -> list:
+def reference_deliver(sim: TransportSim, t: int, _open_row) -> tuple:
     """Subframe 3: greedy clear collection regions, one packet per sink node.
 
     Admission ignores the sink table row it is handed and tests rectangles
@@ -168,11 +172,11 @@ def reference_deliver(sim: TransportSim, t: int, _open_row) -> list:
     """
     ready = [b for b in sim.pending if b.ready_frame <= t]
     if not ready:
-        return []
+        return NO_HOPS
     sinks = np.array(sorted({b.sink_cell for b in ready}), dtype=np.int64)
     admitted = place_collection_regions(sinks, phase_rects(sim, t % TICKS), sim.gp, sim.gs)
     if not admitted:
-        return []
+        return NO_HOPS
     open_sinks = set(admitted)
     served: set[int] = set()
     busy_tx: set[int] = set()
@@ -185,25 +189,18 @@ def reference_deliver(sim: TransportSim, t: int, _open_row) -> list:
         busy_tx.add(b.int_dest)
         delivered.append(b)
     if not delivered:
-        return []
-    events = []
+        return NO_HOPS
     done = set()
     for b in delivered:
         done.add(id(b))
         b.delivered_frame = t
         sim.delivered_carried += 1
-        if sim._logging(t):
-            sim._log_tx(t, (sim.dep.secondary_cells[b.int_dest],))
-        if t >= sim.cfg.warmup_frames:
-            sim.delivered_carried_post += 1
-            sim.delay_p_sum += 3 * (t - b.born) + 2
-            sim.wait_sum += t - b.arrival_frame
         sim.delivered_bundles.append(b)
         if sim.opt.collect_records:
             sim.records.append(PacketRecord(
                 sim._next_id(), PRIMARY, 3 * b.born, 3 * t + 2,
                 len(b.path), b.segments))
-        events.append((sim.sec_pos[b.int_dest], sim.pri_pos[b.dst_node],
-                       b.sink_cell))
     sim.pending = [b for b in sim.pending if id(b) not in done]
-    return events
+    return (sim.sec_pos[[b.int_dest for b in delivered]],
+            sim.pri_pos[[b.dst_node for b in delivered]],
+            np.array([b.sink_cell for b in delivered], dtype=np.int64))

@@ -4,7 +4,7 @@ This is the secondary advance as it ran before queue lengths: every sampled
 pair owns one row of a (pairs, cap) slot matrix holding each live packet's
 path position (pos2) and birth tick (birth2), eldest first, and the matrix
 doubles its width when a row fills. The queue-length engine must reproduce
-its deliveries, delays, records, TX log and audited hops exactly.
+its deliveries, delays, records and audited hops exactly.
 use_reference_queue installs it on one TransportSim instance.
 """
 
@@ -14,15 +14,10 @@ from functools import partial
 
 import numpy as np
 
+from tiersim import transport
 from tiersim.deployment import SECONDARY
 from tiersim.scheduler import TICKS
-from tiersim.transport import (
-    AUDIT_HOPS_PER_FRAME,
-    INJECT_EVERY,
-    NO_HOPS,
-    PacketRecord,
-    TransportSim,
-)
+from tiersim.transport import INJECT_EVERY, NO_HOPS, PacketRecord, TransportSim
 
 
 def use_reference_queue(sim: TransportSim) -> TransportSim:
@@ -72,12 +67,10 @@ def reference_advance(sim: TransportSim, t: int, blocked: np.ndarray) -> tuple:
     move = lead & ~blocked[cells]
     prev_cells = cells[:, 0].copy()
     pos += move
-    if sim._logging(t):
-        sim._log_tx(t, cells[move])
 
     moved_hops = NO_HOPS
     if sim._in_audit(t):
-        first = np.flatnonzero(move)[:AUDIT_HOPS_PER_FRAME]
+        first = np.flatnonzero(move)[: transport.AUDIT_HOPS_PER_FRAME]
         rows, cols = np.divmod(first, move.shape[1])
         newpos = pos[rows, cols]
         at = sim.path_off[rows] + newpos

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from capture_law import TAIL_LEVEL, capture_pool
+from sent_cells import watch_sent_cells
 from tiersim.deployment import SimConfig
 from tiersim.harness import (
     SweepPlan,
@@ -203,12 +204,15 @@ def test_07_audited_rate_floors(sweep):
     assert ok
 
 
-def test_08_no_transmission_inside_preservation_regions():
+def test_08_no_transmission_inside_preservation_regions(monkeypatch):
     cfg = SimConfig(n=128.0, frames=224, warmup_frames=128, seed=SEED0)
-    sim = prepare(cfg, RunOptions(log_tx_frames=64))
+    # every cell sent from in the 64 audited frames after warmup
+    sim = prepare(cfg, RunOptions(audit_frames=64))
+    sent_cells = watch_sent_cells(sim, monkeypatch)
     sim.run()
+    sent = sent_cells()
     dep = sim.dep
-    assert len(sim.tx_log_cells) > 1000
+    assert len(sent) > 1000
 
     # recompute the forbidden rectangles from the pair table alone
     src_cells = np.unique(dep.primary_cells[sim.pairs_p[:, 0]])
@@ -216,7 +220,7 @@ def test_08_no_transmission_inside_preservation_regions():
     k_s = dep.secondary_grid.side_count
     rects_by_phase = {}
     violations = 0
-    for t, cell in zip(sim.tx_log_frames, sim.tx_log_cells):
+    for t, cell in sent:
         phase = t % 64
         if phase not in rects_by_phase:
             active = src_cells[sigma[src_cells] == phase]
@@ -228,7 +232,7 @@ def test_08_no_transmission_inside_preservation_regions():
                 violations += 1
     ok = violations == 0
     verdict(8, ok, f"{violations} forbidden transmissions in "
-                   f"{len(sim.tx_log_cells)} logged over 64 frames")
+                   f"{len(sent)} logged over 64 frames")
     assert ok
 
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from audit_reference import reference_audit_frame, rect_blocked, use_reference_audit
-from bundle_reference import reference_trace, use_reference_bundles
+from bundle_reference import reference_sums, reference_trace, use_reference_bundles
 from int_dest_reference import reference_primary_setup
 from queue_reference import use_reference_queue
 from region_reference import phase_rects, place_collection_regions as rect_admission
+from sent_cells import watch_sent_cells
 
 from tiersim import deployment, transport
 from tiersim.deployment import ConfigurationError, SimConfig
@@ -336,14 +337,25 @@ def test_one_bundle_per_cell_per_pair():
     assert positions(sim, first, second, third) == (2, 1, 1)
 
 
-def test_fresh_bundle_waits_out_its_broadcast_frame():
-    sim = make_sim(warmup=0)
-    pair = carried_pairs(sim)[0]
-    bundle = sim._launch(7, pair, 0, [0, 1, 2])
-    sim._advance_bundles(7, open_cells(sim))
-    assert positions(sim, bundle) == (0,)
-    sim._advance_bundles(8, open_cells(sim))
-    assert positions(sim, bundle) == (1,)
+@pytest.mark.parametrize("n, ap_scale", [(64, 1), (128, 1), (256, 1), (512, 1), (1024, 1),
+                                         (1024, 4), (1024, 16)])
+def test_relay_cell_is_blocked_in_its_broadcast_phase(n, ap_scale):
+    # every secondary cell of a carried pair's relay cell lies in its source's
+    # preservation region, so a fresh bundle cannot hop while its segments land
+    sim = prepare(SimConfig(n=n, ap_scale=ap_scale, frames=8, warmup_frames=0, seed=0))
+    pairs = np.flatnonzero(~sim.pair_direct)
+    assert len(pairs)
+    q = sim.k_s // sim.k_p  # secondary cells nest q x q in each primary cell
+    phases = sim.sigma_p[sim.dep.primary_cells[sim.pairs_p[pairs, 0]]]
+    for phase, relay_cell in zip(phases, sim.pair_relay_cell[pairs]):
+        x, y = divmod(int(relay_cell), sim.k_p)
+        cols, rows = np.arange(x * q, x * q + q), np.arange(y * q, y * q + q)
+        assert sim.blocked[phase, (cols[:, None] * sim.k_s + rows).ravel()].all()
+
+
+def sinks_served(handovers):
+    """The sink cells of the handovers _deliver returned, as a list."""
+    return handovers[2].tolist()
 
 
 def test_arrival_joins_roster_next_frame():
@@ -355,9 +367,8 @@ def test_arrival_joins_roster_next_frame():
     assert sim.pending.tolist() == [bundle]
     assert sim.table["arrival"][bundle] == 3
     # not served in its arrival frame even if the region is free
-    assert sim._deliver(3, open_sinks(sim)) == []
-    events = sim._deliver(4, open_sinks(sim))
-    assert len(events) == 1
+    assert sinks_served(sim._deliver(3, open_sinks(sim))) == []
+    assert len(sinks_served(sim._deliver(4, open_sinks(sim)))) == 1
     assert sim.pending.tolist() == []
     assert sim.table["delivered"][bundle] == 4
 
@@ -379,9 +390,9 @@ def test_same_region_handovers_share_a_subframe():
     assert sim.pairs_p[pair_a, 1] != sim.pairs_p[pair_b, 1]
     launch_arrived(sim, pair_a, 2)
     launch_arrived(sim, pair_b, 2)
-    events = sim._deliver(3, open_sinks(sim))
-    assert len(events) == 2
-    assert events[0][2] == events[1][2]  # one collection region
+    served = sinks_served(sim._deliver(3, open_sinks(sim)))
+    assert len(served) == 2
+    assert served[0] == served[1]  # one collection region
     assert sim.delivered_carried == 2
 
 
@@ -391,9 +402,9 @@ def test_one_packet_per_sink_node_per_frame():
     # two bundles of one pair: same receiving node, the second must wait a frame
     launch_arrived(sim, pair, 2)
     later = launch_arrived(sim, pair, 2)
-    assert len(sim._deliver(3, open_sinks(sim))) == 1
+    assert len(sinks_served(sim._deliver(3, open_sinks(sim)))) == 1
     assert sim.pending.tolist() == [later]
-    assert len(sim._deliver(4, open_sinks(sim))) == 1
+    assert len(sinks_served(sim._deliver(4, open_sinks(sim)))) == 1
     assert sim.pending.tolist() == []
 
 
@@ -404,9 +415,29 @@ def test_delivery_defers_to_preservation_regions():
     # the sink's own cell transmits: its collection region would sit inside
     # that preservation region
     hold = open_sinks(sim, [int(sim.pair_sink[pair])])
-    assert sim._deliver(3, hold) == []
+    assert sinks_served(sim._deliver(3, hold)) == []
     assert sim.pending.tolist() == [bundle]
-    assert len(sim._deliver(4, open_sinks(sim))) == 1
+    assert len(sinks_served(sim._deliver(4, open_sinks(sim)))) == 1
+
+
+def test_carried_tallies_count_deliveries_from_warmup_on():
+    sim = make_sim(frames=96, warmup=32)
+    w = sim.cfg.warmup_frames
+    pair = carried_pairs(sim)[0]
+    before = launch_arrived(sim, pair, w - 3)
+    sim._deliver(w - 1, open_sinks(sim))
+    # two bundles of one pair: the second waits out frames w .. w + 2
+    first, second = launch_arrived(sim, pair, w - 1), launch_arrived(sim, pair, w - 1)
+    sim._deliver(w, open_sinks(sim))
+    sim._deliver(w + 3, open_sinks(sim))
+    assert sim.table["delivered"][[before, first, second]].tolist() == [w - 1, w, w + 3]
+    assert sim.delivered_carried == 3
+    m = sim.metrics()
+    # born w - 1 and arrived at once: D_p = 3 (delivered - born) + 2, wait = delivered - arrival
+    assert m["delivered_carried"] == 2
+    assert m["D_p"] == (5 + 14) / 2
+    assert m["pending_wait"] == (1 + 4) / 2
+    assert m["low_confidence"]
 
 
 # ======== preservation masks and the batched audit ========
@@ -473,7 +504,8 @@ def crafted_frame(sim, rng):
     broadcasts = [(rng.random(2), rng.random((n_rx, 2))) for n_rx in (AUDIT_RX_CAP + 6, 5, 1)]
     rows = rng.choice(len(sim.relay_cells), 4, replace=False)
     hops = (sim.relay_tx_pos[rows], rng.random((4, 2)), sim.relay_cells[rows])
-    deliveries = [(rng.random(2), rng.random(2), sink) for sink in (4, 9, 4)]
+    tx_rx = rng.random((3, 2, 2))
+    deliveries = (tx_rx[:, 0], tx_rx[:, 1], np.array([4, 9, 4]))
     return broadcasts, hops, deliveries
 
 
@@ -537,11 +569,12 @@ def record_returns(sim, name):
     return log
 
 
-def test_queue_lengths_equal_per_packet_reference():
-    runs = [make_sim(n=128.0, seed=3, frames=160, warmup=16, log_tx_frames=64,
-                     collect_records=True) for _ in range(2)]
+def test_queue_lengths_equal_per_packet_reference(monkeypatch):
+    runs = [make_sim(n=128.0, seed=3, frames=160, warmup=16, collect_records=True)
+            for _ in range(2)]
     counts, reference = runs
     use_reference_queue(reference)
+    sent = [watch_sent_cells(sim, monkeypatch) for sim in runs]
     logs = [record_returns(sim, "_advance_secondary") for sim in runs]
     queued = 0
     for t in range(160):
@@ -553,39 +586,46 @@ def test_queue_lengths_equal_per_packet_reference():
         assert np.array_equal(counts.cnt, reference.cnt)
         for got, want in zip(logs[0][-1], logs[1][-1]):
             assert np.array_equal(got, want)
-    # the run exercised head-of-line queues, the audit and the TX log
+    # the run exercised head-of-line queues and the audit
     assert queued > 1
     assert sum(len(h[2]) for h in logs[1]) > 0
-    assert reference.tx_log_cells
     secondary = [[r for r in sim.records if r.tier == "secondary"] for sim in runs]
     assert secondary[1]
     assert secondary[0] == secondary[1]
-    tx_logs = [sorted(zip(sim.tx_log_frames, sim.tx_log_cells)) for sim in runs]
-    assert tx_logs[0] == tx_logs[1]
+    assert sent[0]() == sent[1]()
 
 
 # ======== bundle table against the per-object reference ========
 
 
+def table_sums(sim):
+    """Sums of 3 (delivered - born) + 2 and of delivered - arrival, in frames,
+    over the table's bundles delivered from warmup on."""
+    tab = sim.table[: sim.n_launched]
+    done = tab[tab["delivered"] >= sim.cfg.warmup_frames]
+    return (int((3 * (done["delivered"] - done["born"]) + 2).sum()),
+            int((done["delivered"] - done["arrival"]).sum()))
+
+
 @pytest.mark.parametrize("open_masks", [False, True])
-def test_bundles_equal_per_object_reference(open_masks):
+def test_bundles_equal_per_object_reference(open_masks, monkeypatch):
     # a pair broadcasts at most once per 64 frames, so two of its bundles are
     # in flight together only when a carry outlasts that; on the n = 128 and
     # 256 grids none does, on n = 512 some do
     frames = 512
     cfg = SimConfig(n=512.0, frames=frames, warmup_frames=16, seed=3)
-    runs = [prepare(cfg, RunOptions(audit_frames=64, log_tx_frames=64,
-                                    collect_records=True)) for _ in range(2)]
+    runs = [prepare(cfg, RunOptions(audit_frames=64, collect_records=True))
+            for _ in range(2)]
     table, reference = runs
     use_reference_bundles(reference)
     if open_masks:
-        # the source's preservation region always covers a fresh bundle's
-        # first cell; with nothing blocked, the broadcast-frame wait shows.
-        # Without the regions the SINR audit is meaningless; hops are still
-        # returned and compared.
+        # with nothing blocked, fresh bundles hop in their broadcast frame and
+        # no cell waits. Without the regions the SINR audit is meaningless;
+        # hops are still returned and compared.
         for sim in runs:
             sim.blocked[:] = False
             sim._audit_frame = lambda *frame: None
+    sent = [watch_sent_cells(sim, monkeypatch) for sim in runs]
     hops = [record_returns(sim, "_advance_bundles") for sim in runs]
     deliveries = [record_returns(sim, "_deliver") for sim in runs]
     shared = 0
@@ -593,25 +633,21 @@ def test_bundles_equal_per_object_reference(open_masks):
         for sim in runs:
             sim.step()
         assert table.delivered_carried == reference.delivered_carried
-        assert table.delay_p_sum == reference.delay_p_sum
-        assert table.wait_sum == reference.wait_sum
+        assert table_sums(table) == reference_sums(reference)
         assert len(table.bundles) == len(reference.bundles)
         assert len(table.pending) == len(reference.pending)
-        for got, want in zip(hops[0][-1], hops[1][-1]):
+        for got, want in zip(hops[0][-1] + deliveries[0][-1],
+                             hops[1][-1] + deliveries[1][-1]):
             assert np.array_equal(got, want)
-        assert len(deliveries[0][-1]) == len(deliveries[1][-1])
-        for got, want in zip(deliveries[0][-1], deliveries[1][-1]):
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
         in_flight = table.table["pair"][table.bundles]
         shared = max(shared, np.bincount(in_flight).max(initial=0))
-    # the run exercised contention within a pair, the audit, the roster and the TX log
+    # the run exercised contention within a pair, the audit and the roster
     assert shared >= 2
     assert sum(len(h[2]) for h in hops[1]) > 0
     assert reference.delivered_carried > 0
-    assert reference.tx_log_cells
+    assert reference_sums(reference)[0] > 0
     primary = [[r for r in sim.records if r.tier == "primary"] for sim in runs]
     assert primary[0] == primary[1]
-    tx_logs = [sorted(zip(sim.tx_log_frames, sim.tx_log_cells)) for sim in runs]
-    assert tx_logs[0] == tx_logs[1]
+    assert sent[0]() == sent[1]()
     if not open_masks:
         assert trace_packet(cfg) == reference_trace(reference)
