@@ -26,9 +26,7 @@ from .deployment import (
 from .routing import RelayAssignment, hv_path_cells, path_load_census, select_relays
 from .scheduler import (
     TICKS,
-    blocked_secondary_cells,
     clear_sinks,
-    make_region,
     place_collection_regions,
     preservation_regions,
     slot_offsets,

@@ -7,26 +7,27 @@ primary-segment relaying, sink delivery), each carrying 64 secondary slots.
 
 A preservation region is the 3x3 primary-cell block around an active
 primary transmitter plus a one-cell ring of secondary cells; secondary
-transmitters inside it stay silent for the whole primary slot. Collection
-regions have the same shape, centered on sink cells, and need one primary
-cell of clearance from preservation regions and from each other. For regions
-centered on primary cells a and b that is one rule on the cell offsets
-(_conflict). It gives each slot's row of open sinks (clear_sinks, once at
-set-up) and the greedy admission of a frame's ready sinks.
+transmitters inside it stay silent for the whole primary slot. With q
+secondary cells per primary cell, the region of primary cell (x, y) spans
+secondary columns (x-1)q-1 .. (x+2)q and rows (y-1)q-1 .. (y+2)q, clipped
+at the boundary. A phase's regions are held only as a mask over secondary
+cells painted from that span (preservation_regions, once per phase at
+set-up). Collection regions have
+the same shape, centered on sink cells, and need one primary cell of
+clearance from preservation regions and from each other; for regions
+centered on primary cells a and b the span turns into one rule on the cell
+offsets (_conflict). It gives each slot's row of open sinks (clear_sinks,
+once at set-up) and the greedy admission of a frame's ready sinks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .deployment import CellGrid
-
 __all__ = [
     "TICKS",
     "slot_offsets",
-    "make_region",
     "preservation_regions",
-    "blocked_secondary_cells",
     "clear_sinks",
     "place_collection_regions",
 ]
@@ -48,39 +49,16 @@ def slot_offsets(side_count: int) -> np.ndarray:
 # ======== regions ========
 
 
-def make_region(center: int, p_grid: CellGrid, s_grid: CellGrid) -> tuple[int, int, int, int]:
-    """3x3 primary block plus secondary ring, clipped at the boundary.
-
-    Returned as an inclusive rectangle (x0, x1, y0, y1) in secondary cell
-    coordinates: columns x0..x1, rows y0..y1.
-    """
-    k_p = p_grid.side_count
-    k_s = s_grid.side_count
-    q = k_s // k_p
-    px, py = divmod(center, k_p)
-    bx0, bx1 = max(0, px - 1), min(k_p - 1, px + 1)
-    by0, by1 = max(0, py - 1), min(k_p - 1, py + 1)
-    return (
-        max(0, bx0 * q - 1),
-        min(k_s - 1, (bx1 + 1) * q),
-        max(0, by0 * q - 1),
-        min(k_s - 1, (by1 + 1) * q),
-    )
-
-
-def preservation_regions(
-    active_tx_cells, p_grid: CellGrid, s_grid: CellGrid
-) -> list[tuple[int, int, int, int]]:
-    """One region per primary cell that actually transmits this slot."""
-    return [make_region(int(c), p_grid, s_grid) for c in active_tx_cells]
-
-
-def blocked_secondary_cells(regions, s_grid: CellGrid) -> np.ndarray:
-    """Union of member secondary cells over regions, as a flat boolean mask."""
-    k = s_grid.side_count
-    mask = np.zeros((k, k), dtype=bool)
-    for x0, x1, y0, y1 in regions:
-        mask[x0 : x1 + 1, y0 : y1 + 1] = True
+def preservation_regions(active_tx_cells, k_p: int, q: int) -> np.ndarray:
+    """Flat boolean mask over secondary cells: the union of the preservation
+    regions around active_tx_cells, on a primary grid of side k_p whose cells
+    each hold q x q secondary cells. One slice per region, by the span rule."""
+    k_s = k_p * q
+    mask = np.zeros((k_s, k_s), dtype=bool)
+    for cell in np.asarray(active_tx_cells, dtype=np.int64).tolist():
+        x, y = divmod(cell, k_p)
+        mask[max(0, (x - 1) * q - 1) : (x + 2) * q + 1,
+             max(0, (y - 1) * q - 1) : (y + 2) * q + 1] = True
     return mask.ravel()
 
 

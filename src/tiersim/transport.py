@@ -39,7 +39,6 @@ from .deployment import CHUNK, PRIMARY, SECONDARY, CellIndex, ConfigurationError
 from .routing import RelayAssignment, hv_path_cells, path_load_census
 from .scheduler import (
     TICKS,
-    blocked_secondary_cells,
     clear_sinks,
     place_collection_regions,
     preservation_regions,
@@ -82,12 +81,17 @@ class RunOptions:
 
 @dataclass(frozen=True)
 class PacketRecord:
-    packet_id: int
-    tier: str
-    creation: int        # primary slots (3 per frame) or secondary ticks
-    delivery: int
-    path_length: int
-    segments: int
+    """One delivered packet. A primary packet is stamped in primary slots
+    (3 per frame), a secondary one in its subframe's ticks (64 per frame)."""
+
+    packet_id: int       # 1, 2, ... in delivery order over both tiers
+    tier: str            # PRIMARY or SECONDARY
+    creation: int        # primary: broadcast slot 3t; secondary: birth tick
+    delivery: int        # primary: handover slot 3t + 2; secondary: arrival tick
+    path_length: int     # cells of the pair's path: primary, HV path on the
+                         # primary grid; secondary, relay path on the secondary
+                         # grid (2 for a same-cell pair)
+    segments: int        # primary: 0 direct, N carried; secondary: 1
 
 
 # one row per launched bundle: its pair, broadcast frame, lead relay node,
@@ -250,6 +254,7 @@ class TransportSim:
 
     def _setup_schedule(self) -> None:
         occupied = np.flatnonzero(self.sources.counts > 0)
+        refine = self.k_s // self.k_p  # secondary cells per primary cell, per axis
         self.phase_cells: list[np.ndarray] = []
         # blocked[phase]: secondary cells silenced by that phase's preservation
         # regions; sink_open[phase]: sink cells whose collection region clears them
@@ -258,9 +263,8 @@ class TransportSim:
         for phase in range(TICKS):
             cells = occupied[self.sigma_p[occupied] == phase]
             self.phase_cells.append(cells)
-            self.blocked[phase] = blocked_secondary_cells(
-                preservation_regions(cells, self.gp, self.gs), self.gs)
-            self.sink_open[phase] = clear_sinks(cells, self.k_p, self.k_s // self.k_p)
+            self.blocked[phase] = preservation_regions(cells, self.k_p, refine)
+            self.sink_open[phase] = clear_sinks(cells, self.k_p, refine)
         # relay-holding cells sorted by tick (cell order within a tick), with
         # their relays' positions: the audit's candidate transmitters
         by_tick = np.argsort(self.sigma_s, kind="stable")
@@ -463,7 +467,8 @@ class TransportSim:
         self.pending = self.pending[tab["delivered"][self.pending] < 0]
         self.delivered_carried += len(done)
         if self.opt.collect_records:
-            for born, length in zip(tab["born"][done].tolist(), tab["length"][done].tolist()):
+            for born, length in zip(tab["born"][done].tolist(),
+                                    self.pair_path_len[pairs].tolist()):
                 self.records.append(PacketRecord(
                     self._next_id(), PRIMARY, 3 * born, 3 * t + 2, length,
                     self.n_relays))

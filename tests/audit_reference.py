@@ -17,7 +17,7 @@ import numpy as np
 from tiersim.scheduler import TICKS
 from tiersim.transport import AUDIT_BROADCASTS, AUDIT_RX_CAP, TransportSim
 
-from region_reference import phase_rects
+from region_reference import phase_rects, rect_blocked
 
 
 def interference_at(rx_pos, tx_pos, tx_power_w, alpha):
@@ -37,16 +37,6 @@ def sinr_at(rx_pos, signal_tx, signal_power, int_pos, int_power, noise, alpha):
         raise ValueError("receiver co-located with its transmitter")
     signal = signal_power * d2 ** (-alpha / 2.0)
     return signal / (noise + interference_at(rx_pos, int_pos, int_power, alpha))
-
-
-def rect_blocked(cells, rects, k_s):
-    """Cells inside any of the inclusive (x0, x1, y0, y1) rectangles."""
-    cx = cells // k_s
-    cy = cells % k_s
-    out = np.zeros(cells.shape, dtype=bool)
-    for x0, x1, y0, y1 in rects:
-        out |= (cx >= x0) & (cx <= x1) & (cy >= y0) & (cy <= y1)
-    return out
 
 
 def tick_sets(sim: TransportSim, phase: int) -> list:

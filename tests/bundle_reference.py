@@ -199,7 +199,7 @@ def reference_deliver(sim: TransportSim, t: int, _open_row) -> tuple:
         if sim.opt.collect_records:
             sim.records.append(PacketRecord(
                 sim._next_id(), PRIMARY, 3 * b.born, 3 * t + 2,
-                len(b.path), b.segments))
+                int(sim.pair_path_len[b.pair]), b.segments))
     sim.pending = [b for b in sim.pending if id(b) not in done]
     return (sim.sec_pos[[b.int_dest for b in delivered]],
             sim.pri_pos[[b.dst_node for b in delivered]],

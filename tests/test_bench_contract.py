@@ -3,11 +3,15 @@
 perfbench/spans.py wraps tiersim functions where their callers look them
 up and reads a stepped sim's queues, and perfbench/bench.py assembles a run
 point as run_point does. A rename, a change of run assembly or of the state
-the traced step reads that would break a benchmark run fails here.
+the traced step reads that would break a benchmark run fails here. The
+results digest of three short runs is pinned too, so any change to a
+simulated number fails here as well.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -74,3 +78,15 @@ def test_traced_admit_info_counts_a_live_call(monkeypatch):
     assert info(args, out) == (len(ready), len(out))
     assert all(type(sink) is int for sink in out)
     assert set(out) <= ready - closed
+
+
+# A change that moves simulated numbers on purpose updates these pins and
+# says so in CHANGES.md. Recorded with numpy 2.4.6.
+@pytest.mark.parametrize("n, ap_scale, digest", [
+    (128.0, 1.0, "8864aef8ec948611"),
+    (1024.0, 1.0, "7e21eec57ec65dfa"),
+    (1024.0, 8.0, "70edd3e8ea4e25ad"),
+], ids=["n128", "n1024", "n1024_ap8"])
+def test_results_digest_is_pinned(n, ap_scale, digest):
+    config = SimConfig(n=n, ap_scale=ap_scale, frames=160, warmup_frames=32, seed=3)
+    assert bench.results_digest([run_point(config)]) == digest

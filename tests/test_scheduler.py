@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import region_reference
-from region_reference import grown, rects_overlap
+from region_reference import grown, make_region, rect_blocked, rect_regions, rects_overlap
 
 from tiersim.deployment import CellGrid
 from tiersim.scheduler import (
     TICKS,
-    blocked_secondary_cells,
     clear_sinks,
-    make_region,
     place_collection_regions,
     preservation_regions,
     slot_offsets,
@@ -28,17 +26,11 @@ def active_cells(grid, slot):
     return np.flatnonzero(slot_offsets(grid.side_count) == slot)
 
 
-def region_cells(region, k_s):
-    """Flat secondary cells of a region, enumerated from its rectangle."""
-    x0, x1, y0, y1 = region
-    return np.array([x * k_s + y for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)])
-
-
-def covers_primary(region, cell, k_p, q):
-    """Whether a region holds every secondary cell of a primary cell."""
+def covers_primary(mask, cell, k_p, q):
+    """Whether a flat secondary-cell mask holds every secondary cell of a primary cell."""
     cx, cy = divmod(cell, k_p)
-    x0, x1, y0, y1 = region
-    return x0 <= cx * q and (cx + 1) * q - 1 <= x1 and y0 <= cy * q and (cy + 1) * q - 1 <= y1
+    square = mask.reshape(k_p * q, k_p * q)
+    return bool(square[cx * q : (cx + 1) * q, cy * q : (cy + 1) * q].all())
 
 
 # ======== slot round robin ========
@@ -91,23 +83,22 @@ def test_slot_offsets_formula():
 
 def test_interior_region_cell_count():
     # q=39: 3 blocks of 39 plus a one-cell ring on both sides = 119 per axis
-    region = make_region(4 * 8 + 4, pgrid(8), sgrid(8 * 39))
-    assert len(region_cells(region, 8 * 39)) == 119 * 119 == 14161
+    square = preservation_regions([4 * 8 + 4], 8, 39).reshape(8 * 39, 8 * 39)
+    assert square.any(axis=1).sum() == square.any(axis=0).sum() == 119
+    assert int(square.sum()) == 119 * 119 == 14161
 
 
 def test_corner_region_clips():
     # corner loses one block and one ring cell per clipped side
-    region = make_region(0, pgrid(8), sgrid(8 * 39))
-    assert len(region_cells(region, 8 * 39)) == (2 * 39 + 1) ** 2
+    assert int(preservation_regions([0], 8, 39).sum()) == (2 * 39 + 1) ** 2
 
 
 def test_region_membership_against_enumeration():
     # every center of an 8x8 grid at q=5, checked cell by cell
     k_p, q = 8, 5
     k_s = k_p * q
-    p, s = pgrid(k_p), sgrid(k_s)
     for center in range(k_p * k_p):
-        region = make_region(center, p, s)
+        mask = preservation_regions([center], k_p, q)
         px, py = divmod(center, k_p)
         bx0, bx1 = max(0, px - 1), min(k_p - 1, px + 1)
         by0, by1 = max(0, py - 1), min(k_p - 1, py + 1)
@@ -118,33 +109,57 @@ def test_region_membership_against_enumeration():
                 in_y = by0 * q - 1 <= sy <= (by1 + 1) * q
                 if in_x and in_y:
                     members.add(sx * k_s + sy)
-        assert set(region_cells(region, k_s).tolist()) == members
+        assert set(np.flatnonzero(mask).tolist()) == members
 
 
 def test_region_contains_primary_block():
-    region = make_region(4 * 8 + 4, pgrid(8), sgrid(40))
-    assert covers_primary(region, 3 * 8 + 3, 8, 5)
-    assert covers_primary(region, 5 * 8 + 5, 8, 5)
-    assert not covers_primary(region, 6 * 8 + 4, 8, 5)
-    assert not covers_primary(region, 4 * 8 + 2, 8, 5)
+    mask = preservation_regions([4 * 8 + 4], 8, 5)
+    assert covers_primary(mask, 3 * 8 + 3, 8, 5)
+    assert covers_primary(mask, 5 * 8 + 5, 8, 5)
+    assert not covers_primary(mask, 6 * 8 + 4, 8, 5)
+    assert not covers_primary(mask, 4 * 8 + 2, 8, 5)
 
 
 def test_regions_eight_cells_apart_are_disjoint():
-    p, s = pgrid(16), sgrid(16 * 5)
-    a = make_region(3 * 16 + 3, p, s)
-    b = make_region(11 * 16 + 3, p, s)
-    assert not rects_overlap(a, b)
+    a = preservation_regions([3 * 16 + 3], 16, 5)
+    b = preservation_regions([11 * 16 + 3], 16, 5)
+    assert a.any() and b.any()
+    assert not (a & b).any()
 
 
 def test_blocked_cells_empty_without_tx():
-    mask = blocked_secondary_cells([], sgrid(40))
+    mask = preservation_regions([], 8, 5)
+    assert mask.shape == (40 * 40,)
     assert not mask.any()
 
 
 def test_blocked_cells_single_interior_tx():
-    regions = preservation_regions([4 * 8 + 4], pgrid(8), sgrid(8 * 39))
-    mask = blocked_secondary_cells(regions, sgrid(8 * 39))
+    mask = preservation_regions([4 * 8 + 4], 8, 39)
+    rects = rect_regions([4 * 8 + 4], pgrid(8), sgrid(8 * 39))
+    assert np.array_equal(mask, rect_blocked(np.arange(mask.size), rects, 8 * 39))
     assert int(mask.sum()) == 14161
+
+
+@st.composite
+def active_sets(draw):
+    """A grid and a set of active primary cells, corners and edges drawn often."""
+    k_p = draw(st.integers(2, 24))
+    q = draw(st.sampled_from([1, 2, 3, 5, 21]))
+    last = k_p - 1
+    rim = [x * k_p + y for x in range(k_p) for y in range(k_p)
+           if x in (0, last) or y in (0, last)]
+    cell = st.one_of(st.integers(0, k_p * k_p - 1), st.sampled_from(rim))
+    return k_p, q, draw(st.lists(cell, max_size=8, unique=True))
+
+
+@given(active_sets())
+@settings(max_examples=300, deadline=None)
+def test_mask_equals_painted_rectangles(case):
+    k_p, q, active = case
+    k_s = k_p * q
+    rects = rect_regions(active, pgrid(k_p), sgrid(k_s))
+    want = rect_blocked(np.arange(k_s * k_s), rects, k_s)
+    assert np.array_equal(preservation_regions(active, k_p, q), want)
 
 
 def test_rects_overlap_inclusive():
@@ -189,13 +204,13 @@ def test_admission_defers_near_preservation():
 
 
 def test_admitted_regions_never_touch_blocked_cells():
-    p, s = pgrid(16), sgrid(16 * 5)
     active = [2 * 16 + 2, 12 * 16 + 12]
-    mask = blocked_secondary_cells(preservation_regions(active, p, s), s)
+    mask = preservation_regions(active, 16, 5)
     admitted = admit(list(range(256)), active=active)
     assert admitted  # plenty of room far from both transmitters
     for sink in admitted:
-        assert not mask[region_cells(make_region(sink, p, s), s.side_count)].any()
+        # a collection region has a preservation region's shape
+        assert not (mask & preservation_regions([sink], 16, 5)).any()
 
 
 def test_admission_is_greedy_in_sink_order():
@@ -236,7 +251,7 @@ def test_admission_equals_rectangle_oracle(case):
     k_p, q, active, sinks = case
     p, s = pgrid(k_p), sgrid(k_p * q)
     want = region_reference.place_collection_regions(
-        sinks, preservation_regions(active, p, s), p, s)
+        sinks, rect_regions(active, p, s), p, s)
     assert place_collection_regions(sinks, clear_sinks(active, k_p, q), k_p, q) == want
 
 

@@ -1,16 +1,17 @@
 """Transport tests: segmentation math, subframe stepping, delivery accounting."""
 
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
 
-from audit_reference import reference_audit_frame, rect_blocked, use_reference_audit
+from audit_reference import reference_audit_frame, use_reference_audit
 from bundle_reference import reference_sums, reference_trace, use_reference_bundles
 from int_dest_reference import reference_primary_setup
 from queue_reference import use_reference_queue
-from region_reference import phase_rects, place_collection_regions as rect_admission
+from region_reference import phase_rects, place_collection_regions as rect_admission, rect_blocked
 from sent_cells import watch_sent_cells
 
 from tiersim import deployment, transport
@@ -98,6 +99,19 @@ def test_carried_packets_reassemble_all_segments(recorded_run):
     assert carried
     for r in carried:
         assert r.segments == recorded_run.n_relays
+
+
+def test_carried_records_hold_primary_path_length(recorded_run):
+    # a carried record counts the cells of its pair's primary-grid path, as a
+    # direct record does, not those of its bundle's secondary-grid path
+    sim = recorded_run
+    carried = Counter((r.delivery, r.path_length) for r in sim.records
+                      if r.tier == "primary" and r.segments > 0)
+    table = sim.table[: sim.n_launched]
+    done = table[table["delivered"] >= 0]
+    assert len(done)
+    assert carried == Counter(zip((3 * done["delivered"] + 2).tolist(),
+                                  sim.pair_path_len[done["pair"]].tolist()))
 
 
 def test_delay_at_least_path_length_minus_one(recorded_run):
