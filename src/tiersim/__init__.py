@@ -25,6 +25,7 @@ from .deployment import (
 )
 from .routing import RelayAssignment, hv_path_cells, path_load_census, select_relays
 from .scheduler import (
+    PHASES,
     TICKS,
     clear_sinks,
     place_collection_regions,

@@ -1,9 +1,9 @@
 """Slot activation, preservation regions, and collection-region admission.
 
-Both grids run the same 64-slot round robin: inside each 8x8 cluster the
-cell with local offset (u, v) is active in slot 8u+v. One primary slot
-spans one full secondary frame of three subframes (intra-secondary traffic,
-primary-segment relaying, sink delivery), each carrying 64 secondary slots.
+Each grid runs a round robin over 8x8 clusters: the cell with local offset
+(u, v) is active in slot 8u+v. A primary slot is a frame's phase, PHASES per
+cycle; a secondary slot is a tick, TICKS per subframe; so both are 64. A frame
+has three subframes: secondary traffic, primary-segment relaying, delivery.
 
 A preservation region is the 3x3 primary-cell block around an active
 primary transmitter plus a one-cell ring of secondary cells; secondary
@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "PHASES",
     "TICKS",
     "slot_offsets",
     "preservation_regions",
@@ -32,7 +33,8 @@ __all__ = [
     "place_collection_regions",
 ]
 
-TICKS = 64  # slots of the round robin; one subframe spans one full cycle
+PHASES = 64  # primary phases per cycle, one per frame
+TICKS = 64   # secondary ticks per subframe
 
 
 def slot_offsets(side_count: int) -> np.ndarray:

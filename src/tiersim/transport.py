@@ -1,10 +1,10 @@
 """Packet transport across both tiers of the network.
 
-Time structure: one scheduler frame holds one primary broadcast slot and one
-secondary frame of three subframes (relay, carry, deliver), each subframe
-spanning 64 secondary ticks. A frame therefore spans three primary slots of
-64 ticks each. Primary delay is stamped in primary slots, secondary delay in
-the packet's own subframe ticks.
+Time structure: frame t runs primary phase t % PHASES. It holds one primary
+broadcast slot and one secondary frame of three subframes (relay, carry,
+deliver), each spanning TICKS secondary ticks, so a frame spans three primary
+slots of TICKS ticks each. Primary delay is stamped in primary slots,
+secondary delay in the packet's own subframe ticks.
 
 Primary packets do not hop between primary nodes. An active source cell
 broadcasts one packet per activation; the packet is split into N segments
@@ -38,6 +38,7 @@ from . import phy
 from .deployment import CHUNK, PRIMARY, SECONDARY, CellIndex, ConfigurationError, Deployment
 from .routing import RelayAssignment, hv_path_cells, path_load_census
 from .scheduler import (
+    PHASES,
     TICKS,
     clear_sinks,
     place_collection_regions,
@@ -82,7 +83,7 @@ class RunOptions:
 @dataclass(frozen=True)
 class PacketRecord:
     """One delivered packet. A primary packet is stamped in primary slots
-    (3 per frame), a secondary one in its subframe's ticks (64 per frame)."""
+    (3 per frame), a secondary one in its subframe's ticks (TICKS per frame)."""
 
     packet_id: int       # 1, 2, ... in delivery order over both tiers
     tier: str            # PRIMARY or SECONDARY
@@ -258,9 +259,9 @@ class TransportSim:
         self.phase_cells: list[np.ndarray] = []
         # blocked[phase]: secondary cells silenced by that phase's preservation
         # regions; sink_open[phase]: sink cells whose collection region clears them
-        self.blocked = np.zeros((TICKS, self.gs.cell_count), dtype=bool)
-        self.sink_open = np.zeros((TICKS, self.gp.cell_count), dtype=bool)
-        for phase in range(TICKS):
+        self.blocked = np.zeros((PHASES, self.gs.cell_count), dtype=bool)
+        self.sink_open = np.zeros((PHASES, self.gp.cell_count), dtype=bool)
+        for phase in range(PHASES):
             cells = occupied[self.sigma_p[occupied] == phase]
             self.phase_cells.append(cells)
             self.blocked[phase] = preservation_regions(cells, self.k_p, refine)
@@ -287,24 +288,23 @@ class TransportSim:
     def _in_audit(self, t: int) -> bool:
         return self.cfg.warmup_frames <= t < self.cfg.warmup_frames + self.opt.audit_frames
 
-    def _broadcast(self, t: int) -> list:
-        """Every active source cell emits one packet; returns (transmitter,
-        receivers) per emission."""
-        events = []
-        for cell in self.phase_cells[t % TICKS]:
+    def _broadcast(self, t: int) -> tuple:
+        """Every active source cell emits one packet; returns the emitting
+        sources' positions (B,2) and each emission's receivers (R,2)."""
+        sent, receivers = [], []
+        for cell in self.phase_cells[t % PHASES]:
             k = self._rr[cell] % self.sources.counts[cell]
             self._rr[cell] += 1
             pair = int(self.sources.order[self.sources.starts[cell] + k])
             self.injected_p += 1
-            src_pos = self.pri_pos[self.pairs_p[pair, 0]]
             if self.pair_direct[pair]:
                 self.delivered_direct += 1
                 if t >= self.cfg.warmup_frames:
                     self.delivered_direct_post += 1
-                dst_pos = self.pri_pos[self.pairs_p[pair, 1]]
                 # a direct handoff is a broadcast-slot reception, so it is
                 # audited with the primary receptions, not the region deliveries
-                events.append((src_pos, dst_pos[None, :]))
+                sent.append(pair)
+                receivers.append(self.pri_pos[self.pairs_p[pair, 1:]])
                 if self.opt.collect_records:
                     self.records.append(PacketRecord(
                         self._next_id(), PRIMARY, 3 * t, 3 * t + 2,
@@ -323,8 +323,9 @@ class TransportSim:
             lead_cell = int(self.dep.secondary_cells[lead])
             self._launch(t, pair, lead,
                          self._relay_path(lead_cell, int(self.pair_int_dest_cell[pair])))
-            events.append((src_pos, self.sec_pos[ids]))
-        return events
+            sent.append(pair)
+            receivers.append(self.sec_pos[ids])
+        return self.pri_pos[self.pairs_p[np.array(sent, dtype=np.int64), 0]], receivers
 
     def _launch(self, t: int, pair: int, lead: int, path: np.ndarray) -> int:
         """Add one bundle to the table and return its id; a bundle on a
@@ -481,10 +482,10 @@ class TransportSim:
         noise, alpha = self.cfg.noise, self.cfg.alpha
         # structural transmitters: the relay_cells rows this phase leaves
         # unblocked, one run per tick
-        live = ~self.blocked[t % TICKS][self.relay_cells]
+        live = ~self.blocked[t % PHASES][self.relay_cells]
         live_rows = np.flatnonzero(live)
         bounds = np.searchsorted(live_rows, self.relay_tick_bounds)
-        bc_pos = np.array([b[0] for b in broadcasts]).reshape(-1, 2)
+        bc_pos, bc_rx = broadcasts
         deliv_tx, _, sink_of = deliveries
 
         self._audit_hops(hops, live, live_rows, bounds, bc_pos)
@@ -497,14 +498,14 @@ class TransportSim:
                             self.p_p, np.vstack([others, bc_pos]), self.p_p, noise, alpha)
             self.report.record("delivery", s)
 
-        if not broadcasts or self._audited_broadcasts >= AUDIT_BROADCASTS:
+        if not bc_rx or self._audited_broadcasts >= AUDIT_BROADCASTS:
             return
         # live relays as contiguous x, y columns, in groups of whole ticks that
         # start in one AUDIT_BLOCK_COLS window, so a block is at most a tick wider
         xs, ys = np.take(self.relay_tx_pos, live_rows, axis=0).T.copy()
         edges = np.r_[0, np.flatnonzero(np.diff(bounds[:-1] // AUDIT_BLOCK_COLS)) + 1, TICKS]
         cols = bounds.tolist()
-        for j, (src_pos, rx_all) in enumerate(broadcasts):
+        for j, (src_pos, rx_all) in enumerate(zip(bc_pos, bc_rx)):
             if self._audited_broadcasts >= AUDIT_BROADCASTS:
                 break
             self._audited_broadcasts += 1
@@ -566,7 +567,7 @@ class TransportSim:
 
     def step(self) -> None:
         t = self.frame
-        phase = t % TICKS
+        phase = t % PHASES
         blocked = self.blocked[phase]
         broadcasts = self._broadcast(t)
         self._inject(t)

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from tiersim.scheduler import TICKS
+from tiersim.scheduler import PHASES, TICKS
 from tiersim.transport import AUDIT_BROADCASTS, AUDIT_RX_CAP, TransportSim
 
 from region_reference import phase_rects, rect_blocked
@@ -63,8 +63,8 @@ def use_reference_audit(sim: TransportSim) -> TransportSim:
 def reference_audit_frame(sim: TransportSim, t, broadcasts, hops, deliveries) -> None:
     """The per-hop audit of frame t, recording into sim.report."""
     noise, alpha = sim.cfg.noise, sim.cfg.alpha
-    sets = tick_sets(sim, t % TICKS)
-    bc_pos = np.array([b[0] for b in broadcasts]).reshape(-1, 2)
+    sets = tick_sets(sim, t % PHASES)
+    bc_pos, bc_rx = broadcasts
     deliv_tx, _, sink_of = deliveries
 
     for tx, rx, prev_cell in zip(*hops):
@@ -87,7 +87,7 @@ def reference_audit_frame(sim: TransportSim, t, broadcasts, hops, deliveries) ->
 
     if sim._audited_broadcasts >= AUDIT_BROADCASTS:
         return
-    for j, (src_pos, rx_all) in enumerate(broadcasts):
+    for j, (src_pos, rx_all) in enumerate(zip(bc_pos, bc_rx)):
         if sim._audited_broadcasts >= AUDIT_BROADCASTS:
             break
         sim._audited_broadcasts += 1

@@ -10,8 +10,8 @@ ticks it once kept are left out: every segment rode the lead relay's path,
 so they were all equal.
 Delivery admits collection regions by rectangle overlap (region_reference),
 not by the scheduler's clearance rule.
-Broadcast events are (transmitter, receivers) pairs and deliveries are
-(int-dest, destination, sink cell) arrays, as the audit reads them.
+Broadcasts are (transmitters (B,2), receivers per broadcast) and deliveries
+are (int-dest, destination, sink cell) arrays, as the audit reads them.
 use_reference_bundles installs it on one TransportSim instance.
 """
 
@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from tiersim.deployment import PRIMARY
-from tiersim.scheduler import TICKS
+from tiersim.scheduler import PHASES, TICKS
 from tiersim.transport import NO_HOPS, PacketRecord, TransportSim
 
 from region_reference import phase_rects, place_collection_regions
@@ -83,20 +83,19 @@ def reference_sums(sim: TransportSim) -> tuple[int, int]:
             sum(b.delivered_frame - b.arrival_frame for b in post))
 
 
-def reference_broadcast(sim: TransportSim, t: int) -> list:
-    events = []
-    for cell in sim.phase_cells[t % TICKS]:
+def reference_broadcast(sim: TransportSim, t: int) -> tuple:
+    sent, receivers = [], []
+    for cell in sim.phase_cells[t % PHASES]:
         k = sim._rr[cell] % sim.sources.counts[cell]
         sim._rr[cell] += 1
         pair = int(sim.sources.order[sim.sources.starts[cell] + k])
         sim.injected_p += 1
-        src_pos = sim.pri_pos[sim.pairs_p[pair, 0]]
         if sim.pair_direct[pair]:
             sim.delivered_direct += 1
             if t >= sim.cfg.warmup_frames:
                 sim.delivered_direct_post += 1
-            dst_pos = sim.pri_pos[sim.pairs_p[pair, 1]]
-            events.append((src_pos, dst_pos[None, :]))
+            sent.append(pair)
+            receivers.append(sim.pri_pos[sim.pairs_p[pair, 1:]])
             if sim.opt.collect_records:
                 sim.records.append(PacketRecord(
                     sim._next_id(), PRIMARY, 3 * t, 3 * t + 2,
@@ -124,8 +123,9 @@ def reference_broadcast(sim: TransportSim, t: int) -> list:
             reference_arrived(sim, bundle, t)
         else:
             sim.bundles.append(bundle)
-        events.append((src_pos, sim.sec_pos[ids]))
-    return events
+        sent.append(pair)
+        receivers.append(sim.sec_pos[ids])
+    return sim.pri_pos[sim.pairs_p[np.array(sent, dtype=np.int64), 0]], receivers
 
 
 def reference_arrived(sim: TransportSim, b: SegmentBundle, t: int) -> None:
@@ -174,7 +174,7 @@ def reference_deliver(sim: TransportSim, t: int, _open_row) -> tuple:
     if not ready:
         return NO_HOPS
     sinks = np.array(sorted({b.sink_cell for b in ready}), dtype=np.int64)
-    admitted = place_collection_regions(sinks, phase_rects(sim, t % TICKS), sim.gp, sim.gs)
+    admitted = place_collection_regions(sinks, phase_rects(sim, t % PHASES), sim.gp, sim.gs)
     if not admitted:
         return NO_HOPS
     open_sinks = set(admitted)

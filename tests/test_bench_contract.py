@@ -21,7 +21,7 @@ import spans  # noqa: E402
 from tiersim import transport  # noqa: E402
 from tiersim.deployment import SimConfig  # noqa: E402
 from tiersim.harness import prepare, run_point  # noqa: E402
-from tiersim.scheduler import TICKS  # noqa: E402
+from tiersim.scheduler import PHASES  # noqa: E402
 
 
 def test_traced_names_live_where_spans_patch_them():
@@ -72,7 +72,7 @@ def test_traced_admit_info_counts_a_live_call(monkeypatch):
         assert sim.frame < sim.cfg.frames, "no frame admitted a sink while holding another"
         # bundles on the roster before a step arrived before its frame: all ready
         ready = set(sim.pair_sink[sim.table["pair"][sim.pending]].tolist())
-        closed = {sink for sink in ready if not sim.sink_open[sim.frame % TICKS, sink]}
+        closed = {sink for sink in ready if not sim.sink_open[sim.frame % PHASES, sink]}
         sim.step()
     args, out = calls[-1]
     assert info(args, out) == (len(ready), len(out))

@@ -10,6 +10,7 @@ from region_reference import grown, make_region, rect_blocked, rect_regions, rec
 
 from tiersim.deployment import CellGrid
 from tiersim.scheduler import (
+    PHASES,
     TICKS,
     clear_sinks,
     place_collection_regions,
@@ -38,6 +39,9 @@ def covers_primary(mask, cell, k_p, q):
 
 def test_frame_structure_constants():
     assert TICKS == 64
+    assert PHASES == 64
+    # one primary phase per round-robin slot
+    assert len(np.unique(slot_offsets(16))) == PHASES
 
 
 def test_single_cluster_slot_zero():
@@ -265,6 +269,6 @@ def test_admission_equals_rectangle_oracle(case):
 def test_never_admissible_sinks_with_every_source_active(k_p, never):
     sigma = slot_offsets(k_p)
     table = np.array([clear_sinks(np.flatnonzero(sigma == phase), k_p, 2)
-                      for phase in range(TICKS)])
-    assert table.shape == (TICKS, k_p * k_p)
+                      for phase in range(PHASES)])
+    assert table.shape == (PHASES, k_p * k_p)
     assert int((~table.any(axis=0)).sum()) == never

@@ -19,7 +19,7 @@ from tiersim.deployment import ConfigurationError, SimConfig
 from tiersim.harness import prepare, trace_packet
 from tiersim.phy import RateReport
 from tiersim.routing import hv_path_cells
-from tiersim.scheduler import TICKS, clear_sinks
+from tiersim.scheduler import PHASES, TICKS, clear_sinks
 from tiersim.transport import (AUDIT_BROADCASTS, AUDIT_RX_CAP, NO_HOPS, RunOptions,
                                relay_count)
 
@@ -461,10 +461,12 @@ def test_carried_tallies_count_deliveries_from_warmup_on():
 def test_phase_mask_is_union_of_preservation_regions(n, k_p):
     sim = make_sim(n=n, sample_pairs=8)
     assert sim.k_p == k_p
-    assert sim.blocked.shape == (TICKS, sim.gs.cell_count)
+    assert sim.blocked.shape == (PHASES, sim.gs.cell_count)
+    assert sim.sink_open.shape == (PHASES, sim.gp.cell_count)
+    assert len(sim.phase_cells) == PHASES
     assert any(len(active) for active in sim.phase_cells)
     cells = np.arange(sim.gs.cell_count)
-    for phase in range(TICKS):
+    for phase in range(PHASES):
         rects = phase_rects(sim, phase)
         assert np.array_equal(sim.blocked[phase], rect_blocked(cells, rects, sim.k_s))
         # the sink table row: each sink alone, admitted by the rectangle oracle
@@ -515,7 +517,8 @@ def crafted_frame(sim, rng):
     """Three broadcasts (one over AUDIT_RX_CAP receivers, one direct-style
     single receiver), four hops from live relays and three deliveries, two
     of them into one region."""
-    broadcasts = [(rng.random(2), rng.random((n_rx, 2))) for n_rx in (AUDIT_RX_CAP + 6, 5, 1)]
+    broadcasts = (rng.random((3, 2)),
+                  [rng.random((n_rx, 2)) for n_rx in (AUDIT_RX_CAP + 6, 5, 1)])
     rows = rng.choice(len(sim.relay_cells), 4, replace=False)
     hops = (sim.relay_tx_pos[rows], rng.random((4, 2)), sim.relay_cells[rows])
     tx_rx = rng.random((3, 2, 2))
@@ -556,7 +559,7 @@ def test_broadcast_audit_raises_on_relay_in_middle_tick(monkeypatch):
     sim = make_sim(n=128.0, seed=3, frames=96, warmup=16)
     t = 16
     broadcasts, _, deliveries = crafted_frame(sim, np.random.default_rng(5))
-    live = np.flatnonzero(~sim.blocked[t % TICKS][sim.relay_cells])
+    live = np.flatnonzero(~sim.blocked[t % PHASES][sim.relay_cells])
     ticks = sim.sigma_s[sim.relay_cells[live]]
     row = live[np.argmin(np.abs(ticks - TICKS // 2))]
     broadcasts[1][1][2] = sim.relay_tx_pos[row]
@@ -623,9 +626,9 @@ def table_sums(sim):
 
 @pytest.mark.parametrize("open_masks", [False, True])
 def test_bundles_equal_per_object_reference(open_masks, monkeypatch):
-    # a pair broadcasts at most once per 64 frames, so two of its bundles are
-    # in flight together only when a carry outlasts that; on the n = 128 and
-    # 256 grids none does, on n = 512 some do
+    # a pair broadcasts at most once per PHASES frames, so two of its bundles
+    # are in flight together only when a carry outlasts that; on the n = 128
+    # and 256 grids none does, on n = 512 some do
     frames = 512
     cfg = SimConfig(n=512.0, frames=frames, warmup_frames=16, seed=3)
     runs = [prepare(cfg, RunOptions(audit_frames=64, collect_records=True))
