@@ -7,7 +7,8 @@ steps it for --frames frames, and prints one JSON line: setup_s (host
 seconds of prepare), peak_rss_mb (ru_maxrss of this process when the frames
 are done), the node counts, the bytes per secondary node that the deployment
 holds for the whole run, and a digest of the set-up state (primary pair
-paths and int-dests, relays, cell orders, census maximum) that must not
+paths and int-dests, relay tiers and relays, the capture fraction, primary
+cell counts, secondary cell orders, census maximum) that must not
 change when set-up is only made faster or smaller. Run one size per
 process, so that each peak is its own.
 """
@@ -34,12 +35,14 @@ def setup_digest(sim) -> str:
     dep = sim.dep
     for a in (sim.pair_path_len, sim.pair_direct, sim.pair_relay_cell,
               sim.pair_int_dest, sim.pair_int_dest_cell,
-              sim.relays.primary_relay, sim.relays.secondary_relay):
+              sim.relays.primary_relay_is_secondary, sim.relays.secondary_relay,
+              dep.primary_counts):
         h.update(memoryview(a))
+    h.update(repr(sim.relays.secondary_capture_fraction).encode())
     # the cell orders are hashed as int64, the form they had when the digest
     # was fixed, a slice at a time; the secondary-grid order is not held by
     # the deployment, so it is derived here
-    for order in (dep.primary_index.order, np.argsort(dep.secondary_cells, kind="stable"),
+    for order in (np.argsort(dep.secondary_cells, kind="stable"),
                   dep.secondary_index_primary_grid.order):
         for i in range(0, len(order), 1 << 20):
             h.update(memoryview(order[i : i + (1 << 20)].astype(np.int64)))

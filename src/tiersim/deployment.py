@@ -236,7 +236,7 @@ class CellIndex:
         return self.order[self.starts[cell] : self.starts[cell + 1]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Deployment:
     """Immutable snapshot of one sampled network.
 
@@ -253,11 +253,11 @@ class Deployment:
     primary_pairs: np.ndarray
     secondary_pairs: np.ndarray
     # flat cell index per node, on each grid that matters for its tier
-    primary_cells: np.ndarray = field(repr=False, default=None)
-    secondary_cells: np.ndarray = field(repr=False, default=None)
-    secondary_counts: np.ndarray = field(repr=False, default=None)  # nodes per secondary cell
-    primary_index: CellIndex = field(repr=False, default=None)
-    secondary_index_primary_grid: CellIndex = field(repr=False, default=None)
+    primary_cells: np.ndarray = field(repr=False)
+    secondary_cells: np.ndarray = field(repr=False)
+    primary_counts: np.ndarray = field(repr=False)  # nodes per primary cell
+    secondary_counts: np.ndarray = field(repr=False)  # nodes per secondary cell
+    secondary_index_primary_grid: CellIndex = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,8 @@ def build_deployment(config: SimConfig) -> Deployment:
         secondary_pairs=secondary_pairs,
         primary_cells=primary_cells,
         secondary_cells=secondary_cells,
+        primary_counts=np.bincount(primary_cells, minlength=p_grid.cell_count),
         secondary_counts=secondary_counts,
-        primary_index=CellIndex(primary_cells, p_grid.cell_count),
         secondary_index_primary_grid=CellIndex(sec_on_primary, p_grid.cell_count),
     )
 
@@ -343,7 +343,7 @@ def cell_occupancy(deployment: Deployment, relay_count: int = 1) -> OccupancyRep
     relay_count is the per-packet relay requirement N; a primary cell with
     fewer secondary nodes than that cannot host a full segment bundle.
     """
-    prim = deployment.primary_index.counts
+    prim = deployment.primary_counts
     sec_on_prim = deployment.secondary_index_primary_grid.counts
     sec = deployment.secondary_counts
     return OccupancyReport(

@@ -1,8 +1,10 @@
 """Horizontal-vertical cell paths, designated relays, and path-load census.
 
 Every data path runs along the source's row to the destination's column,
-then along that column: one turn at most. Each cell elects one designated
-relay that forwards all paths crossing the cell for the whole run.
+then along that column: one turn at most. Each secondary cell elects one
+designated relay that forwards all secondary paths crossing the cell for
+the whole run. A primary cell keeps only the tier that wins its relay draw,
+for the capture check; primary packets travel on relays drawn per broadcast.
 """
 
 from __future__ import annotations
@@ -41,40 +43,24 @@ def hv_path_cells(src_cell: int, dst_cell: int, side_count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelayAssignment:
-    """Per-cell designated relay node ids, -1 where a cell is empty.
+    """The relay tier of every primary cell and the relay of every secondary cell.
 
     On the primary grid the relay is drawn uniformly over all nodes present
     in the cell, both tiers: the dense secondary tier wins nearly always,
-    which is what lets it capture primary traffic. primary_relay_is_secondary
-    records which tier won. On the secondary grid only secondary nodes are
-    candidates.
+    which is what lets it capture primary traffic. Only the winner's tier is
+    kept: primary_relay_is_secondary (False for an empty cell), and
+    secondary_capture_fraction, its mean over the occupied primary cells. On
+    the secondary grid only secondary nodes are candidates; secondary_relay
+    holds the node ids, -1 where a cell is empty.
     """
 
-    primary_relay: np.ndarray
     primary_relay_is_secondary: np.ndarray
     secondary_relay: np.ndarray
-
-    @property
-    def secondary_capture_fraction(self) -> float:
-        """Fraction of relay-holding primary cells whose relay is secondary."""
-        has = self.primary_relay >= 0
-        if not has.any():
-            return 0.0
-        return float(self.primary_relay_is_secondary[has].mean())
-
-
-def _pick_per_cell(index, u: np.ndarray) -> np.ndarray:
-    """Uniform member choice per cell from a CellIndex, -1 for empty cells."""
-    counts = index.counts
-    chosen = np.full(len(counts), -1, dtype=np.int64)
-    has = counts > 0
-    offs = (u[has] * counts[has]).astype(np.int64)
-    chosen[has] = index.order[index.starts[:-1][has] + offs]
-    return chosen
+    secondary_capture_fraction: float
 
 
 def _pick_by_rank(cells: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """_pick_per_cell without a member order: per cell, the member of rank
+    """Uniform member choice per cell, -1 for an empty cell: the member of rank
     floor(u * count) in node-id order, found in one chunked pass over cells."""
     rank = (u * counts).astype(np.int64)
     chosen = np.full(len(counts), -1, dtype=np.int64)
@@ -94,33 +80,30 @@ def _pick_by_rank(cells: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.nd
 
 
 def select_relays(deployment: Deployment, seed) -> RelayAssignment:
-    """Fix the designated relay of every cell for a whole run."""
+    """Fix each primary cell's relay tier and each secondary cell's relay for a run."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     kp2 = deployment.primary_grid.cell_count
     ks2 = deployment.secondary_grid.cell_count
 
-    n_counts = deployment.primary_index.counts
+    n_counts = deployment.primary_counts
     m_counts = deployment.secondary_index_primary_grid.counts
     total = n_counts + m_counts
 
-    # draw the winning tier first, then a uniform member of that tier
+    # the member uniforms after the tier draw are not read; drawing them keeps
+    # every secondary relay, and so every SINR floor, the same at each seed
     u_tier = rng.random(kp2)
-    u_member = rng.random(kp2)
+    rng.random(kp2)
     is_sec = np.zeros(kp2, dtype=bool)
     occupied = total > 0
     is_sec[occupied] = u_tier[occupied] < m_counts[occupied] / total[occupied]
-
-    prim_pick = _pick_per_cell(deployment.primary_index, u_member)
-    sec_pick = _pick_per_cell(deployment.secondary_index_primary_grid, u_member)
-    primary_relay = np.where(is_sec, sec_pick, prim_pick)
-    primary_relay[~occupied] = -1
+    capture = float(is_sec[occupied].mean()) if occupied.any() else 0.0
 
     secondary_relay = _pick_by_rank(deployment.secondary_cells, deployment.secondary_counts,
                                     rng.random(ks2))
     return RelayAssignment(
-        primary_relay=primary_relay,
         primary_relay_is_secondary=is_sec,
         secondary_relay=secondary_relay,
+        secondary_capture_fraction=capture,
     )
 
 

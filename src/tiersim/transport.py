@@ -163,7 +163,6 @@ class TransportSim:
         self.records: list[PacketRecord] = []
         self.report = phy.RateReport()
         self._audited_broadcasts = 0
-        self._packet_seq = 0
 
     # ======== setup ========
 
@@ -307,7 +306,7 @@ class TransportSim:
                 receivers.append(self.pri_pos[self.pairs_p[pair, 1:]])
                 if self.opt.collect_records:
                     self.records.append(PacketRecord(
-                        self._next_id(), PRIMARY, 3 * t, 3 * t + 2,
+                        len(self.records) + 1, PRIMARY, 3 * t, 3 * t + 2,
                         int(self.pair_path_len[pair]), 0))
                 continue
             if self.pair_int_dest[pair] < 0:
@@ -342,10 +341,6 @@ class TransportSim:
         else:
             self.bundles = np.append(self.bundles, b)
         return b
-
-    def _next_id(self) -> int:
-        self._packet_seq += 1
-        return self._packet_seq
 
     def _inject(self, t: int) -> None:
         """Every sampled pair queues one packet at its first path position."""
@@ -397,7 +392,7 @@ class TransportSim:
             if self.opt.collect_records:
                 for j, r in enumerate(rows):
                     self.records.append(PacketRecord(
-                        self._next_id(), SECONDARY, int(birth[j]),
+                        len(self.records) + 1, SECONDARY, int(birth[j]),
                         int(arrival[j]), int(self.plen[r]), 1))
             self.out_s[rows] += 1
             self.cnt[rows] -= 1
@@ -471,7 +466,7 @@ class TransportSim:
             for born, length in zip(tab["born"][done].tolist(),
                                     self.pair_path_len[pairs].tolist()):
                 self.records.append(PacketRecord(
-                    self._next_id(), PRIMARY, 3 * born, 3 * t + 2, length,
+                    len(self.records) + 1, PRIMARY, 3 * born, 3 * t + 2, length,
                     self.n_relays))
         return (self.sec_pos[int_dest], self.pri_pos[self.pairs_p[pairs, 1]],
                 self.pair_sink[pairs])

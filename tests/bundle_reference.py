@@ -98,7 +98,7 @@ def reference_broadcast(sim: TransportSim, t: int) -> tuple:
             receivers.append(sim.pri_pos[sim.pairs_p[pair, 1:]])
             if sim.opt.collect_records:
                 sim.records.append(PacketRecord(
-                    sim._next_id(), PRIMARY, 3 * t, 3 * t + 2,
+                    len(sim.records) + 1, PRIMARY, 3 * t, 3 * t + 2,
                     int(sim.pair_path_len[pair]), 0))
             continue
         if sim.pair_int_dest[pair] < 0:
@@ -198,7 +198,7 @@ def reference_deliver(sim: TransportSim, t: int, _open_row) -> tuple:
         sim.delivered_bundles.append(b)
         if sim.opt.collect_records:
             sim.records.append(PacketRecord(
-                sim._next_id(), PRIMARY, 3 * b.born, 3 * t + 2,
+                len(sim.records) + 1, PRIMARY, 3 * b.born, 3 * t + 2,
                 int(sim.pair_path_len[b.pair]), b.segments))
     sim.pending = [b for b in sim.pending if id(b) not in done]
     return (sim.sec_pos[[b.int_dest for b in delivered]],

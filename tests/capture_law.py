@@ -87,8 +87,8 @@ def capture_pool(n: float, seeds: range) -> CapturePool:
     for seed in seeds:
         dep = build_deployment(SimConfig(n=n, seed=seed))
         relays = select_relays(dep, rng_streams(seed)[2])
-        has = relays.primary_relay >= 0
-        n_c.append(dep.primary_index.counts[has])
+        has = dep.primary_counts + dep.secondary_index_primary_grid.counts > 0
+        n_c.append(dep.primary_counts[has])
         m_c.append(dep.secondary_index_primary_grid.counts[has])
         uncaptured += int((~relays.primary_relay_is_secondary[has]).sum())
     return CapturePool(np.concatenate(n_c), np.concatenate(m_c), uncaptured)

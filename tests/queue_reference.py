@@ -94,7 +94,7 @@ def reference_advance(sim: TransportSim, t: int, blocked: np.ndarray) -> tuple:
         if sim.opt.collect_records:
             for j, r in enumerate(rows):
                 sim.records.append(PacketRecord(
-                    sim._next_id(), SECONDARY, int(sim.birth2[r, 0]),
+                    len(sim.records) + 1, SECONDARY, int(sim.birth2[r, 0]),
                     int(arrival[j]), int(sim.plen[r]), 1))
         sim.pos2[rows, :-1] = sim.pos2[rows, 1:]
         sim.pos2[rows, -1] = -1

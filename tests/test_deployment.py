@@ -237,9 +237,10 @@ def test_deployment_indexes_partition_nodes():
     assert occ.secondary_per_secondary_cell.sum() == len(dep.secondary_pos)
     assert occ.secondary_per_primary_cell.sum() == len(dep.secondary_pos)
     # membership lists agree with the per-node cell assignment
+    on_primary = dep.primary_grid.cell_of(dep.secondary_pos)
     for cell in range(dep.primary_grid.cell_count):
-        members = dep.primary_index.members(cell)
-        assert (dep.primary_cells[members] == cell).all()
+        members = dep.secondary_index_primary_grid.members(cell)
+        assert (on_primary[members] == cell).all()
 
 
 # cell ids whose low 16 bits collide often, alone or under a few high values

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from capture_law import TAIL_LEVEL, capture_pool
 from secondary_index import SecondaryIndex
-from tiersim import routing
-from tiersim.deployment import SimConfig, build_deployment
+from tiersim import deployment, routing
+from tiersim.deployment import SimConfig, build_deployment, primary_cell_area
 from tiersim.routing import hv_path_cells, path_load_census, select_relays
 
 
@@ -67,34 +67,32 @@ def test_path_properties(k, a, b):
 # ======== designated relays ========
 
 
-def test_single_node_cell_is_forced():
-    dep = build_deployment(SimConfig(n=100, seed=0))
+def test_single_node_cell_is_forced(monkeypatch):
+    # a cell holding one tier only elects that tier; secondary nodes are kept
+    # out of primary cell 0 and primary nodes out of cell 1 so both cases occur
+    cfg = SimConfig(n=100, seed=0)
+    _, grid = primary_cell_area(cfg.n)
+    draw = deployment.sample_ppp
+
+    def thinned(density, seed):
+        pos = draw(density, seed)
+        return pos[grid.cell_of(pos) != (0 if density == cfg.m else 1)]
+
+    monkeypatch.setattr(deployment, "sample_ppp", thinned)
+    dep = build_deployment(cfg)
     relays = select_relays(dep, 1)
-    occ_p = dep.primary_index.counts
+    occ_p = dep.primary_counts
     occ_s = dep.secondary_index_primary_grid.counts
-    lone = np.where(occ_p + occ_s == 1)[0]
-    for cell in lone:
-        if occ_p[cell] == 1:
-            assert relays.primary_relay[cell] == dep.primary_index.members(cell)[0]
-        else:
-            assert (
-                relays.primary_relay[cell]
-                == dep.secondary_index_primary_grid.members(cell)[0]
-            )
+    assert occ_s[0] == 0 and occ_p[1] == 0 and occ_s[1] > 0
+    is_sec = relays.primary_relay_is_secondary
+    assert len(is_sec) == dep.primary_grid.cell_count
+    assert not is_sec[occ_s == 0].any()
+    assert is_sec[(occ_p == 0) & (occ_s > 0)].all()
 
 
 def test_relay_lives_in_its_cell():
     dep = build_deployment(SimConfig(n=100, seed=1))
     relays = select_relays(dep, 2)
-    sec_on_primary = dep.primary_grid.cell_of(dep.secondary_pos)
-    for cell in range(dep.primary_grid.cell_count):
-        r = relays.primary_relay[cell]
-        if r < 0:
-            continue
-        if relays.primary_relay_is_secondary[cell]:
-            assert sec_on_primary[r] == cell
-        else:
-            assert dep.primary_cells[r] == cell
     for cell in range(dep.secondary_grid.cell_count):
         r = relays.secondary_relay[cell]
         if r >= 0:
@@ -105,7 +103,8 @@ def test_relay_deterministic():
     dep = build_deployment(SimConfig(n=100, seed=3))
     a = select_relays(dep, 7)
     b = select_relays(dep, 7)
-    assert np.array_equal(a.primary_relay, b.primary_relay)
+    assert np.array_equal(a.primary_relay_is_secondary, b.primary_relay_is_secondary)
+    assert a.secondary_capture_fraction == b.secondary_capture_fraction
     assert np.array_equal(a.secondary_relay, b.secondary_relay)
 
 
