@@ -5,12 +5,13 @@
 Builds one run with harness.prepare (deployment, relays, TransportSim),
 steps it for --frames frames, and prints one JSON line: setup_s (host
 seconds of prepare), peak_rss_mb (ru_maxrss of this process when the frames
-are done), the node counts, the bytes per secondary node that the deployment
-holds for the whole run, and a digest of the set-up state (primary pair
-paths and int-dests, relay tiers and relays, the capture fraction, primary
-cell counts, secondary cell orders, census maximum) that must not
-change when set-up is only made faster or smaller. Run one size per
-process, so that each peak is its own.
+are done), the peak so far after each set-up layer (peak_rss_mb_after:
+build_deployment, select_relays, TransportSim), the node counts, the bytes
+per secondary node that the deployment holds for the whole run, and a
+digest of the set-up state (primary pair paths and int-dests, relay tiers
+and relays, the capture fraction, primary cell counts, secondary cell
+orders, census maximum) that must not change when set-up is only made
+faster or smaller. Run one size per process, so that each peak is its own.
 """
 
 from __future__ import annotations
@@ -26,8 +27,21 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
+from tiersim import harness  # noqa: E402
 from tiersim.deployment import SimConfig  # noqa: E402
-from tiersim.harness import prepare  # noqa: E402
+
+
+def peak_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def peak_after(layers: dict, name: str, fn):
+    """fn, recording the peak RSS in layers[name] when it returns."""
+    def call(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        layers[name] = peak_mb()
+        return out
+    return call
 
 
 def setup_digest(sim) -> str:
@@ -58,19 +72,23 @@ def main() -> None:
     args = ap.parse_args()
     cfg = SimConfig(n=args.n, frames=args.frames, warmup_frames=args.frames // 2,
                     seed=args.seed)
+    # prepare looks the layers up in harness, so they are wrapped there
+    layers = {}
+    for name in ("build_deployment", "select_relays"):
+        setattr(harness, name, peak_after(layers, name, getattr(harness, name)))
     t0 = time.perf_counter()
-    sim = prepare(cfg)
+    sim = harness.prepare(cfg)
     setup_s = time.perf_counter() - t0
+    layers["TransportSim"] = peak_mb()
     sim.run()
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     dep = sim.dep  # its per-node secondary arrays are held for the whole run
-    held = sum(a.nbytes for a in (dep.secondary_pos, dep.secondary_cells, dep.secondary_pairs,
-                                  dep.secondary_index_primary_grid.order))
+    held = dep.secondary_cells.nbytes + dep.secondary_index_primary_grid.order.nbytes
     print(json.dumps({
         "n": args.n, "seed": args.seed, "frames": args.frames,
         "k_p": sim.k_p, "k_s": sim.k_s,
         "primaries": len(sim.pri_pos), "secondaries": len(sim.sec_pos),
-        "setup_s": round(setup_s, 4), "peak_rss_mb": round(peak_mb, 1),
+        "setup_s": round(setup_s, 4), "peak_rss_mb": peak_mb(),
+        "peak_rss_mb_after": layers,
         "held_bytes_per_secondary": round(held / len(sim.sec_pos), 2),
         "digest": setup_digest(sim),  # after the peak is read: it sorts m cells
     }))

@@ -21,6 +21,7 @@ __all__ = [
     "CellGrid",
     "Deployment",
     "OccupancyReport",
+    "PositionStream",
     "sample_ppp",
     "primary_cell_area",
     "secondary_cell_area",
@@ -112,7 +113,8 @@ class CellGrid:
         np.minimum(ij, k - 1, out=ij)
         return ij[:, 0] * np.int64(k) + ij[:, 1]
 
-    def center(self, cell: int) -> tuple[float, float]:
+    def center(self, cell: int | np.ndarray) -> tuple:
+        """(x, y) of a cell's centre, or of each cell's for an array of cells."""
         cx, cy = divmod(cell, self.side_count)
         w = 1.0 / self.side_count
         return ((cx + 0.5) * w, (cy + 0.5) * w)
@@ -193,8 +195,10 @@ def pair_sd(count: int, seed) -> np.ndarray:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if count < 2:
         return np.empty((0, 2), dtype=np.int32)
-    # numpy shuffles 8 B items fastest; the ids are then held in 4 B
-    perm = rng.permutation(count).astype(np.int32)
+    # shuffling int32 ids draws what permutation(count) draws, without its
+    # int64 copy
+    perm = np.arange(count, dtype=np.int32)
+    rng.shuffle(perm)
     half = count // 2
     # pair i is (perm[i], perm[half + i]): a strided view, not a stacked copy
     return np.lib.stride_tricks.as_strided(
@@ -203,13 +207,66 @@ def pair_sd(count: int, seed) -> np.ndarray:
 
 # ======== deployment ========
 
-# peak RSS per secondary node: the rise from n = 2048 to 4096 (159.1 to 519.4 MB)
-# over the rise in m (4.19 M to 16.78 M), from scripts/setup_probe.py (BENCH_11.json)
-SECONDARY_NODE_BYTES = 30
+# peak RSS per secondary node: the rise from n = 2048 to 4096 (85.9 to 205.8 MB)
+# over the rise in m (4.19 M to 16.78 M), from scripts/setup_probe.py at seed 0
+SECONDARY_NODE_BYTES = 10
 # node ids are held as int32 and uint32; the margin is 20+ standard
 # deviations of the Poisson node count
 ID_LIMIT = 2**31 - 2**20
 CHUNK = 1 << 16  # nodes or pairs per pass where an O(m) temporary would otherwise form
+
+
+def resume(state: dict) -> np.random.Generator:
+    """A generator that continues a stream from a saved bit-generator state."""
+    bit_generator = getattr(np.random, state["bit_generator"])(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+class PositionStream:
+    """A PPP's node positions, regenerated from the stream that drew them.
+
+    Node i is the pair of doubles 2i, 2i+1 that the stream draws after the
+    node count, as sample_ppp draws them, so only the stream's state at that
+    point is held. chunks() reads every node in one pass; take() reads a few
+    at one stream advance each.
+    """
+
+    def __init__(self, density: float, rng: np.random.Generator):
+        self.count = int(rng.poisson(density))
+        self.state = rng.bit_generator.state
+        # take()'s generator, reset on each call: a new one costs more than
+        # the few advances a take makes
+        self._reader = resume(self.state)
+        # leave the stream where sample_ppp would have left it
+        rng.bit_generator.advance(2 * self.count)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def chunks(self, size: int | None = None):
+        """(first id, positions) of consecutive runs of size (default CHUNK)
+        nodes, in id order."""
+        size = size or CHUNK
+        rng = resume(self.state)
+        for i in range(0, self.count, size):
+            yield i, rng.random((min(size, self.count - i), 2))
+
+    def take(self, ids) -> np.ndarray:
+        """Positions of the nodes ids, (len(ids), 2)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        out = np.empty((len(ids), 2))
+        rng = self._reader
+        rng.bit_generator.state = self.state
+        at = 0  # the node the stream stands at; it only moves forward
+        for j in np.argsort(ids, kind="stable").tolist():
+            i = int(ids[j])
+            if i >= at:  # a repeated id keeps the position just drawn
+                rng.bit_generator.advance(2 * (i - at))
+                pos = rng.random(2)
+                at = i + 1
+            out[j] = pos
+        return out
 
 
 class CellIndex:
@@ -240,18 +297,21 @@ class CellIndex:
 class Deployment:
     """Immutable snapshot of one sampled network.
 
-    The secondary tier holds 28 B per node: its position (two float64), its
-    cell on the secondary grid (uint32), its entry in the primary-grid
-    member order (uint32) and its half of a pair (int32).
+    The secondary tier holds about 6 B per node: its cell on the secondary
+    grid (the narrowest unsigned type that holds every cell, uint16 up to
+    k_s = 256) and its entry in the primary-grid member order (uint32).
+    Positions are regenerated from the deployment stream (secondary_pos),
+    and the pairs are drawn when a run is set up, from the pairing stream's
+    state after the primary pairing (pairing_state).
     """
 
     config: SimConfig
     primary_grid: CellGrid
     secondary_grid: CellGrid
     primary_pos: np.ndarray
-    secondary_pos: np.ndarray
+    secondary_pos: PositionStream
     primary_pairs: np.ndarray
-    secondary_pairs: np.ndarray
+    pairing_state: dict = field(repr=False)
     # flat cell index per node, on each grid that matters for its tier
     primary_cells: np.ndarray = field(repr=False)
     secondary_cells: np.ndarray = field(repr=False)
@@ -282,7 +342,7 @@ def rng_streams(seed: int) -> list[np.random.Generator]:
 
 
 def build_deployment(config: SimConfig) -> Deployment:
-    """Sample both tiers, build both grids, and pair sources with sinks.
+    """Sample both tiers, build both grids, and pair the primary tier.
 
     Deterministic in config.seed: positions come from the deployment stream
     and pairs from the pairing stream of rng_streams.
@@ -301,25 +361,23 @@ def build_deployment(config: SimConfig) -> Deployment:
         raise ConfigurationError(f"m={config.m:.4g} secondary nodes overflow int32 node ids")
 
     primary_pos = sample_ppp(config.n, g_deploy)
-    secondary_pos = sample_ppp(config.m, g_deploy)
-
+    secondary_pos = PositionStream(config.m, g_deploy)
     primary_pairs = pair_sd(len(primary_pos), g_pairs)
-    secondary_pairs = pair_sd(len(secondary_pos), g_pairs)
 
     primary_cells = p_grid.cell_of(primary_pos)
-    # both cells of every secondary node, a chunk at a time; the primary-grid
-    # cell is kept only until its member order is placed (k_p**2 fits uint16
-    # below ID_LIMIT)
-    secondary_cells = np.empty(len(secondary_pos), dtype=np.uint32)
+    # both cells of every secondary node, a chunk of positions at a time; the
+    # primary-grid cell is kept only until its member order is placed (k_p**2
+    # fits uint16 below ID_LIMIT)
+    m = len(secondary_pos)
+    secondary_cells = np.empty(m, dtype=np.min_scalar_type(s_grid.cell_count - 1))
     secondary_counts = np.zeros(s_grid.cell_count, dtype=np.int64)
-    sec_on_primary = np.empty(len(secondary_pos), dtype=np.uint16)
-    step = max(CHUNK, s_grid.cell_count)  # a pass also costs O(cells)
-    for i in range(0, len(secondary_pos), step):
-        chunk = secondary_pos[i : i + step]
-        cells = s_grid.cell_of(chunk)
-        secondary_cells[i : i + step] = cells
+    sec_on_primary = np.empty(m, dtype=np.uint16)
+    # a pass also costs O(cells)
+    for i, pos in secondary_pos.chunks(max(CHUNK, s_grid.cell_count)):
+        cells = s_grid.cell_of(pos)
+        secondary_cells[i : i + len(pos)] = cells
         secondary_counts += np.bincount(cells, minlength=s_grid.cell_count)
-        sec_on_primary[i : i + step] = p_grid.cell_of(chunk)
+        sec_on_primary[i : i + len(pos)] = p_grid.cell_of(pos)
 
     return Deployment(
         config=config,
@@ -328,7 +386,7 @@ def build_deployment(config: SimConfig) -> Deployment:
         primary_pos=primary_pos,
         secondary_pos=secondary_pos,
         primary_pairs=primary_pairs,
-        secondary_pairs=secondary_pairs,
+        pairing_state=g_pairs.bit_generator.state,
         primary_cells=primary_cells,
         secondary_cells=secondary_cells,
         primary_counts=np.bincount(primary_cells, minlength=p_grid.cell_count),

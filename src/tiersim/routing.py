@@ -16,6 +16,7 @@ import numpy as np
 from .deployment import CHUNK, Deployment
 
 __all__ = [
+    "HandoverSearch",
     "RelayAssignment",
     "hv_path_cells",
     "select_relays",
@@ -105,6 +106,99 @@ def select_relays(deployment: Deployment, seed) -> RelayAssignment:
         secondary_relay=secondary_relay,
         secondary_capture_fraction=capture,
     )
+
+
+# ======== handover nodes ========
+
+
+class HandoverSearch:
+    """The handover node of each (penultimate cell, sink cell) key on the
+    primary grid: the penultimate cell's member nearest the sink cell's
+    centre, the first in node-id order on a tie, -1 for an empty cell.
+
+    update() takes chunks of secondary positions in node-id order and keeps
+    a running minimum: a later node replaces the nearest so far only when
+    strictly nearer. A chunk is measured only in the secondary cells that
+    can hold a member nearer than the bound; narrow() tightens the bound to
+    the nearest so far.
+    """
+
+    # far above the rounding of cell_of and of a squared distance
+    MARGIN = 1e-12
+    PILOT = 4096  # nodes measured before the search narrows
+
+    def __init__(self, deployment: Deployment, keys: np.ndarray):
+        self.dep = deployment
+        self.pen, sink = np.divmod(keys, deployment.primary_grid.cell_count)
+        self.cx, self.cy = deployment.primary_grid.center(sink)
+        self.best = np.full(len(keys), np.inf)
+        self.node = np.full(len(keys), -1, dtype=np.int64)
+        self.node_pos = np.full((len(keys), 2), np.nan)
+        self.narrow()
+        # the nearest of the first few nodes leaves few cells to look at
+        self.update(*next(deployment.secondary_pos.chunks(self.PILOT), (0, np.empty((0, 2)))))
+        self.narrow()
+
+    def narrow(self) -> None:
+        """Look only at the secondary cells that can hold a member of a key's
+        penultimate cell no farther than the nearest so far.
+
+        Cells just beyond the penultimate cell are looked at too, and every
+        span is widened by MARGIN, so a member that cell_of places across a
+        border is not missed.
+        """
+        k_p = self.dep.primary_grid.side_count
+        k_s = self.dep.secondary_grid.side_count
+        q = k_s // k_p
+
+        def axis(p, c):
+            """Per key: the secondary index of each cell across the
+            penultimate cell and one beyond, whether it lies on the grid, and
+            the gap from c to the cell's span clipped to the penultimate
+            cell's (a sliver for a cell beyond it)."""
+            s = p[:, None] * q + np.arange(-1, q + 1)
+            lo = np.maximum(s / k_s, p[:, None] / k_p) - self.MARGIN
+            hi = np.minimum((s + 1) / k_s, (p[:, None] + 1) / k_p) + self.MARGIN
+            gap = np.maximum(np.maximum(lo - c[:, None], c[:, None] - hi), 0.0)
+            return s, (s >= 0) & (s < k_s), gap
+
+        px, py = np.divmod(self.pen, k_p)
+        sx, on_x, gap_x = axis(px, self.cx)
+        sy, on_y, gap_y = axis(py, self.cy)
+        cell = sx[:, :, None] * k_s + sy[:, None, :]
+        near = gap_x[:, :, None] ** 2 + gap_y[:, None, :] ** 2
+        look = on_x[:, :, None] & on_y[:, None, :]
+        look &= near <= self.best[:, None, None] * (1 + self.MARGIN)
+        look[look] = self.dep.secondary_counts[cell[look]] > 0
+        cell = cell[look]
+        self.count = np.bincount(cell, minlength=k_s * k_s)
+        self.looked = self.count > 0  # a bool table gathers fastest
+        self.start = np.cumsum(self.count) - self.count
+        self.key = np.nonzero(look)[0][np.argsort(cell, kind="stable")]
+
+    def update(self, first: int, pos: np.ndarray) -> None:
+        """Measure the nodes first, first + 1, ... at positions pos."""
+        cells = self.dep.secondary_cells[first : first + len(pos)]
+        at = np.flatnonzero(self.looked.take(cells))
+        cells = cells[at]
+        own = self.dep.primary_grid.cell_of(pos[at])
+        # every (node, key) pair of a looked-at cell, in node order, that the
+        # node's own primary cell admits
+        reps = self.count[cells]
+        nth = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        j = self.key[np.repeat(self.start[cells], reps) + nth]
+        admit = np.repeat(own, reps) == self.pen[j]
+        at, j = np.repeat(at, reps)[admit], j[admit]
+        ddx, ddy = pos[at, 0] - self.cx[j], pos[at, 1] - self.cy[j]
+        d2 = ddx * ddx + ddy * ddy
+        low = self.best.copy()
+        np.minimum.at(low, j, d2)
+        # strictly nearer only: on a tie the earlier node stays
+        hit = np.flatnonzero((d2 == low[j]) & (low[j] < self.best[j]))
+        won, lead = np.unique(j[hit], return_index=True)
+        self.best[won] = low[won]
+        self.node[won] = first + at[hit[lead]]
+        self.node_pos[won] = pos[at[hit[lead]]]
 
 
 # ======== path load ========

@@ -25,6 +25,12 @@ Sampled packets are held as queue lengths, one per position of each pair's
 path: only a position's head packet hops, so a pair delivers in injection
 order, and a delivered packet's birth follows from how many the pair
 delivered before it.
+
+Secondary positions are not held by the deployment. Set-up regenerates them
+once, in one pass, and keeps those a plain frame reads: the relays', the
+int-dests' and the sampled pairs' ends. Only the SINR audit regenerates
+more: the receivers of the broadcasts it takes and the lead relay of a
+bundle's first hop.
 """
 
 from __future__ import annotations
@@ -35,8 +41,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy
-from .deployment import CHUNK, PRIMARY, SECONDARY, CellIndex, ConfigurationError, Deployment
-from .routing import RelayAssignment, hv_path_cells, path_load_census
+from .deployment import (
+    CHUNK,
+    PRIMARY,
+    SECONDARY,
+    CellIndex,
+    ConfigurationError,
+    Deployment,
+    pair_sd,
+    resume,
+)
+from .routing import HandoverSearch, RelayAssignment, hv_path_cells, path_load_census
 from .scheduler import (
     PHASES,
     TICKS,
@@ -62,6 +77,7 @@ AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
 # a subframe's transmissions as (transmitter (H,2), receiver (H,2), cell (H,))
 # arrays: the sending secondary cell of a hop, the sink cell of a handover
 NO_HOPS = (np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
+NO_IDS = np.empty(0, dtype=np.int64)
 
 
 def relay_count(m: float) -> int:
@@ -139,8 +155,9 @@ class TransportSim:
         self.p_p = phy.tx_power(self.gp.cell_area, self.cfg.power_const, self.cfg.alpha)
         self.p_s = phy.tx_power(self.gs.cell_area, self.cfg.power_const, self.cfg.alpha)
 
-        self._setup_primary()
+        handover_keys = self._setup_primary()
         self._setup_secondary()
+        self._setup_positions(*handover_keys)
         self._setup_schedule()
 
         # counters
@@ -166,7 +183,9 @@ class TransportSim:
 
     # ======== setup ========
 
-    def _setup_primary(self) -> None:
+    def _setup_primary(self) -> tuple:
+        """Closed-form primary paths; returns the (penultimate cell, sink
+        cell) handover keys, sorted, and each carried pair's key."""
         dep = self.dep
         pairs = dep.primary_pairs
         self.pairs_p = pairs
@@ -185,39 +204,21 @@ class TransportSim:
         relay = np.where(step_x != 0, src_cells + step_x * k, src_cells + step_y)
         penult = np.where(step_y != 0, dst_cells - step_y, dst_cells - step_x * k)
         self.pair_relay_cell = np.where(carried, relay, -1)
-        # the handover node depends only on (penultimate cell, sink cell): the
-        # penultimate cell's member nearest the sink cell's centre, the first
-        # in member order on a tie
-        keys, key_of = np.unique(penult[carried] * cell_count + dst_cells[carried],
-                                 return_inverse=True)
-        sec = dep.secondary_index_primary_grid
-        node = np.full(len(keys), -1, dtype=np.int64)
-        cell = -1
-        for j, (pen, sink) in enumerate(zip(*np.divmod(keys, cell_count))):
-            if pen != cell:  # keys come sorted by penultimate cell
-                cell, members = pen, sec.members(pen)
-                pos = np.take(self.sec_pos, members, axis=0)
-            if len(members):
-                cx, cy = self.gp.center(int(sink))
-                ddx, ddy = pos[:, 0] - cx, pos[:, 1] - cy
-                node[j] = members[np.argmin(ddx * ddx + ddy * ddy)]
-        # a pair without a handover node stays unservable: its packets are drops
-        self.pair_int_dest = np.full(self.n_pairs_p, -1, dtype=np.int64)
-        self.pair_int_dest[carried] = node[key_of]
-        self.pair_int_dest_cell = np.where(
-            self.pair_int_dest >= 0, dep.secondary_cells[self.pair_int_dest].astype(np.int64), -1)
-
         # pairs grouped by their source's cell, with a round-robin cursor per cell
         self.sources = CellIndex(src_cells, cell_count)
         self._rr = np.zeros(cell_count, dtype=np.int64)
+        # the handover node depends only on (penultimate cell, sink cell)
+        return np.unique(penult[carried] * cell_count + dst_cells[carried], return_inverse=True)
 
     def _setup_secondary(self) -> None:
+        """The secondary pairs, drawn here and dropped after the census and
+        the sample take what they need of them."""
         dep = self.dep
-        pairs = dep.secondary_pairs
+        pairs = pair_sd(len(self.sec_pos), resume(dep.pairing_state))
         self.n_pairs_s = len(pairs)
         # integer counts sum exactly, so chunks bound the census temporaries;
         # a pass also costs O(cells), and the cells are widened first, as
-        # uint32 differences would wrap
+        # unsigned differences would wrap
         step = max(CHUNK, self.gs.cell_count)
         census = sum(path_load_census(
             dep.secondary_cells[pairs[i : i + step]].astype(np.int64), self.k_s)
@@ -252,6 +253,42 @@ class TransportSim:
         self.out_s = np.zeros(take, dtype=np.int64)  # packets delivered per pair
         self.n_sampled = take
 
+    def _setup_positions(self, keys: np.ndarray, key_of: np.ndarray) -> None:
+        """One regeneration pass over the secondary positions, in node-id
+        order: it finds each handover key's node (HandoverSearch) and keeps
+        every position a plain frame reads, the int-dests', the relays' and
+        the sampled pairs' ends."""
+        # relay-holding cells sorted by tick (cell order within a tick): the
+        # audit's candidate transmitters
+        by_tick = np.argsort(self.sigma_s, kind="stable")
+        self.relay_cells = by_tick[self.sec_relay[by_tick] >= 0]
+        self.relay_tick_bounds = np.searchsorted(
+            self.sigma_s[self.relay_cells], np.arange(TICKS + 1))
+        self.relay_row = np.full(self.gs.cell_count, -1, dtype=np.int64)
+        self.relay_row[self.relay_cells] = np.arange(len(self.relay_cells))
+        wanted = np.concatenate([self.sec_relay[self.relay_cells], self.s_src, self.s_dst])
+        by_id = np.argsort(wanted, kind="stable")
+        ids = wanted[by_id]
+        held = np.empty((len(wanted), 2))
+
+        search = HandoverSearch(self.dep, keys)
+        for i, pos in self.sec_pos.chunks():
+            lo, hi = np.searchsorted(ids, (i, i + len(pos)))
+            held[by_id[lo:hi]] = pos[ids[lo:hi] - i]
+            search.update(i, pos)
+
+        # a pair without a handover node stays unservable: its packets are drops
+        carried = ~self.pair_direct
+        self.pair_int_dest = np.full(self.n_pairs_p, -1, dtype=np.int64)
+        self.pair_int_dest[carried] = search.node[key_of]
+        self.pair_int_dest_pos = np.full((self.n_pairs_p, 2), np.nan)
+        self.pair_int_dest_pos[carried] = search.node_pos[key_of]
+        self.pair_int_dest_cell = np.where(
+            self.pair_int_dest >= 0,
+            self.dep.secondary_cells[self.pair_int_dest].astype(np.int64), -1)
+        self.relay_tx_pos, self.s_src_pos, self.s_dst_pos = np.split(
+            held, np.cumsum([len(self.relay_cells), self.n_sampled]))
+
     def _setup_schedule(self) -> None:
         occupied = np.flatnonzero(self.sources.counts > 0)
         refine = self.k_s // self.k_p  # secondary cells per primary cell, per axis
@@ -265,15 +302,6 @@ class TransportSim:
             self.phase_cells.append(cells)
             self.blocked[phase] = preservation_regions(cells, self.k_p, refine)
             self.sink_open[phase] = clear_sinks(cells, self.k_p, refine)
-        # relay-holding cells sorted by tick (cell order within a tick), with
-        # their relays' positions: the audit's candidate transmitters
-        by_tick = np.argsort(self.sigma_s, kind="stable")
-        self.relay_cells = by_tick[self.sec_relay[by_tick] >= 0]
-        self.relay_tx_pos = self.sec_pos[self.sec_relay[self.relay_cells]]
-        self.relay_tick_bounds = np.searchsorted(
-            self.sigma_s[self.relay_cells], np.arange(TICKS + 1))
-        self.relay_row = np.full(self.gs.cell_count, -1, dtype=np.int64)
-        self.relay_row[self.relay_cells] = np.arange(len(self.relay_cells))
 
     def _relay_path(self, src_cell: int, dst_cell: int) -> np.ndarray:
         """HV path on the secondary grid without interior cells that hold no relay."""
@@ -289,8 +317,8 @@ class TransportSim:
 
     def _broadcast(self, t: int) -> tuple:
         """Every active source cell emits one packet; returns the emitting
-        sources' positions (B,2) and each emission's receivers (R,2)."""
-        sent, receivers = [], []
+        pairs (B,) and each emission's relay ids (none for a direct handoff)."""
+        sent, relays = [], []
         for cell in self.phase_cells[t % PHASES]:
             k = self._rr[cell] % self.sources.counts[cell]
             self._rr[cell] += 1
@@ -303,7 +331,7 @@ class TransportSim:
                 # a direct handoff is a broadcast-slot reception, so it is
                 # audited with the primary receptions, not the region deliveries
                 sent.append(pair)
-                receivers.append(self.pri_pos[self.pairs_p[pair, 1:]])
+                relays.append(NO_IDS)
                 if self.opt.collect_records:
                     self.records.append(PacketRecord(
                         len(self.records) + 1, PRIMARY, 3 * t, 3 * t + 2,
@@ -323,8 +351,8 @@ class TransportSim:
             self._launch(t, pair, lead,
                          self._relay_path(lead_cell, int(self.pair_int_dest_cell[pair])))
             sent.append(pair)
-            receivers.append(self.sec_pos[ids])
-        return self.pri_pos[self.pairs_p[np.array(sent, dtype=np.int64), 0]], receivers
+            relays.append(ids)
+        return np.array(sent, dtype=np.int64), relays
 
     def _launch(self, t: int, pair: int, lead: int, path: np.ndarray) -> int:
         """Add one bundle to the table and return its id; a bundle on a
@@ -372,9 +400,9 @@ class TransportSim:
             prev = self.q_cell[first]
             new = self.q_cell[first - 1]
             tx = np.where((first == self.path_off[rows] + self.plen[rows] - 1)[:, None],
-                          self.sec_pos[self.s_src[rows]], self.sec_pos[self.sec_relay[prev]])
+                          self.s_src_pos[rows], self.relay_tx_pos[self.relay_row[prev]])
             rx = np.where((first - 1 == self.path_off[rows])[:, None],
-                          self.sec_pos[self.s_dst[rows]], self.sec_pos[self.sec_relay[new]])
+                          self.s_dst_pos[rows], self.relay_tx_pos[self.relay_row[new]])
             moved_hops = (tx, rx, prev)
 
         last = self.path_off
@@ -428,10 +456,13 @@ class TransportSim:
         if not len(hop) or not self._in_audit(t):
             return NO_HOPS
         new_cell = self.b_path[at[hop] + 1]
-        tx = np.where((pos == 1)[:, None], self.sec_pos[tab["lead"][moved]],
-                      self.sec_pos[self.sec_relay[sent]])
-        rx = np.where(arrived[:, None], self.sec_pos[self.pair_int_dest[pairs[hop]]],
-                      self.sec_pos[self.sec_relay[new_cell]])
+        tx = self.relay_tx_pos[self.relay_row[sent]]
+        # a first hop leaves from the drawn lead relay, not the cell's relay
+        lead = np.flatnonzero(pos == 1)
+        if len(lead):
+            tx[lead] = self.sec_pos.take(tab["lead"][moved[lead]])
+        rx = np.where(arrived[:, None], self.pair_int_dest_pos[pairs[hop]],
+                      self.relay_tx_pos[self.relay_row[new_cell]])
         return tx, rx, sent
 
     def _deliver(self, t: int, open_row: np.ndarray) -> tuple:
@@ -468,10 +499,20 @@ class TransportSim:
                 self.records.append(PacketRecord(
                     len(self.records) + 1, PRIMARY, 3 * born, 3 * t + 2, length,
                     self.n_relays))
-        return (self.sec_pos[int_dest], self.pri_pos[self.pairs_p[pairs, 1]],
+        return (self.pair_int_dest_pos[pairs], self.pri_pos[self.pairs_p[pairs, 1]],
                 self.pair_sink[pairs])
 
     # ======== SINR audit ========
+
+    def _broadcast_positions(self, sent: np.ndarray, relays: list) -> tuple:
+        """A frame's broadcasts as the audit reads them: the sources' positions
+        (B,2), and the first AUDIT_RX_CAP receivers' positions of each
+        broadcast the audit has yet to take, regenerated for relays."""
+        left = max(0, AUDIT_BROADCASTS - self._audited_broadcasts)
+        receivers = [self.sec_pos.take(ids[:AUDIT_RX_CAP]) if len(ids)
+                     else self.pri_pos[self.pairs_p[pair, 1:]]
+                     for pair, ids in zip(sent[:left].tolist(), relays)]
+        return self.pri_pos[self.pairs_p[sent, 0]], receivers
 
     def _audit_frame(self, t, broadcasts, hops, deliveries) -> None:
         noise, alpha = self.cfg.noise, self.cfg.alpha
@@ -564,14 +605,14 @@ class TransportSim:
         t = self.frame
         phase = t % PHASES
         blocked = self.blocked[phase]
-        broadcasts = self._broadcast(t)
+        sent, relays = self._broadcast(t)
         self._inject(t)
         hops = self._advance_secondary(t, blocked)
         bundle_hops = self._advance_bundles(t, blocked)
         deliveries = self._deliver(t, self.sink_open[phase])
         if self._in_audit(t):
             hops = tuple(np.concatenate(h) for h in zip(hops, bundle_hops))
-            self._audit_frame(t, broadcasts, hops, deliveries)
+            self._audit_frame(t, self._broadcast_positions(sent, relays), hops, deliveries)
         alive_s = int(self.cnt.sum())
         assert self.injected_s == self.delivered_s + alive_s
         assert self.injected_p == (self.delivered_direct + self.delivered_carried

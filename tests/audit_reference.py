@@ -18,6 +18,7 @@ from tiersim.scheduler import PHASES, TICKS
 from tiersim.transport import AUDIT_BROADCASTS, AUDIT_RX_CAP, TransportSim
 
 from region_reference import phase_rects, rect_blocked
+from secondary_positions import secondary_positions
 
 
 def interference_at(rx_pos, tx_pos, tx_power_w, alpha):
@@ -44,13 +45,14 @@ def tick_sets(sim: TransportSim, phase: int) -> list:
     rects = phase_rects(sim, phase)
     by_tick = np.argsort(sim.sigma_s, kind="stable")
     bounds = np.searchsorted(sim.sigma_s[by_tick], np.arange(TICKS + 1))
+    sec_pos = secondary_positions(sim.dep)
     sets = []
     for tick in range(TICKS):
         cells = by_tick[bounds[tick] : bounds[tick + 1]]
         cells = cells[sim.sec_relay[cells] >= 0]
         if rects:
             cells = cells[~rect_blocked(cells, rects, sim.k_s)]
-        sets.append((cells, sim.sec_pos[sim.sec_relay[cells]]))
+        sets.append((cells, sec_pos[sim.sec_relay[cells]]))
     return sets
 
 

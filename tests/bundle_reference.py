@@ -10,8 +10,9 @@ ticks it once kept are left out: every segment rode the lead relay's path,
 so they were all equal.
 Delivery admits collection regions by rectangle overlap (region_reference),
 not by the scheduler's clearance rule.
-Broadcasts are (transmitters (B,2), receivers per broadcast) and deliveries
-are (int-dest, destination, sink cell) arrays, as the audit reads them.
+Broadcasts are (emitting pairs (B,), relay ids per broadcast) and deliveries
+are (int-dest, destination, sink cell) arrays, as the sim's own subframes
+return them. Positions are read from all secondary positions at once.
 use_reference_bundles installs it on one TransportSim instance.
 """
 
@@ -27,6 +28,7 @@ from tiersim.scheduler import PHASES, TICKS
 from tiersim.transport import NO_HOPS, PacketRecord, TransportSim
 
 from region_reference import phase_rects, place_collection_regions
+from secondary_positions import secondary_positions
 
 
 @dataclass
@@ -52,9 +54,10 @@ def use_reference_bundles(sim: TransportSim) -> TransportSim:
     sim.bundles = []
     sim.pending = []
     sim.delivered_bundles = []
-    sim._broadcast = partial(reference_broadcast, sim)
-    sim._advance_bundles = partial(reference_advance_bundles, sim)
-    sim._deliver = partial(reference_deliver, sim)
+    sec_pos = secondary_positions(sim.dep)
+    sim._broadcast = partial(reference_broadcast, sim, sec_pos)
+    sim._advance_bundles = partial(reference_advance_bundles, sim, sec_pos)
+    sim._deliver = partial(reference_deliver, sim, sec_pos)
     return sim
 
 
@@ -83,8 +86,8 @@ def reference_sums(sim: TransportSim) -> tuple[int, int]:
             sum(b.delivered_frame - b.arrival_frame for b in post))
 
 
-def reference_broadcast(sim: TransportSim, t: int) -> tuple:
-    sent, receivers = [], []
+def reference_broadcast(sim: TransportSim, sec_pos: np.ndarray, t: int) -> tuple:
+    sent, relays = [], []
     for cell in sim.phase_cells[t % PHASES]:
         k = sim._rr[cell] % sim.sources.counts[cell]
         sim._rr[cell] += 1
@@ -95,7 +98,7 @@ def reference_broadcast(sim: TransportSim, t: int) -> tuple:
             if t >= sim.cfg.warmup_frames:
                 sim.delivered_direct_post += 1
             sent.append(pair)
-            receivers.append(sim.pri_pos[sim.pairs_p[pair, 1:]])
+            relays.append(np.empty(0, dtype=np.int64))
             if sim.opt.collect_records:
                 sim.records.append(PacketRecord(
                     len(sim.records) + 1, PRIMARY, 3 * t, 3 * t + 2,
@@ -115,7 +118,7 @@ def reference_broadcast(sim: TransportSim, t: int) -> tuple:
         path = sim._relay_path(lead_cell, int(sim.pair_int_dest_cell[pair]))
         bundle = SegmentBundle(
             pair=pair, path=path, segments=sim.n_relays, born=t,
-            lead_pos=sim.sec_pos[lead].copy(),
+            lead_pos=sec_pos[lead].copy(),
             sink_cell=int(sim.pair_sink[pair]),
             dst_node=int(sim.pairs_p[pair, 1]),
             int_dest=int(sim.pair_int_dest[pair]))
@@ -124,8 +127,8 @@ def reference_broadcast(sim: TransportSim, t: int) -> tuple:
         else:
             sim.bundles.append(bundle)
         sent.append(pair)
-        receivers.append(sim.sec_pos[ids])
-    return sim.pri_pos[sim.pairs_p[np.array(sent, dtype=np.int64), 0]], receivers
+        relays.append(ids)
+    return np.array(sent, dtype=np.int64), relays
 
 
 def reference_arrived(sim: TransportSim, b: SegmentBundle, t: int) -> None:
@@ -134,7 +137,8 @@ def reference_arrived(sim: TransportSim, b: SegmentBundle, t: int) -> None:
     sim.pending.append(b)
 
 
-def reference_advance_bundles(sim: TransportSim, t: int, blocked: np.ndarray) -> tuple:
+def reference_advance_bundles(sim: TransportSim, sec_pos: np.ndarray, t: int,
+                              blocked: np.ndarray) -> tuple:
     """Subframe 2: bundles hop atomically, one bundle per cell per pair."""
     audit = sim._in_audit(t)
     tx, rx, sent = [], [], []
@@ -150,9 +154,9 @@ def reference_advance_bundles(sim: TransportSim, t: int, blocked: np.ndarray) ->
         b.pos += 1
         new_cell = int(b.path[b.pos])
         if audit:
-            tx.append(b.lead_pos if b.pos == 1 else sim.sec_pos[sim.sec_relay[cell]])
-            rx.append(sim.sec_pos[b.int_dest] if b.pos == len(b.path) - 1
-                      else sim.sec_pos[sim.sec_relay[new_cell]])
+            tx.append(b.lead_pos if b.pos == 1 else sec_pos[sim.sec_relay[cell]])
+            rx.append(sec_pos[b.int_dest] if b.pos == len(b.path) - 1
+                      else sec_pos[sim.sec_relay[new_cell]])
             sent.append(cell)
         if b.pos == len(b.path) - 1:
             reference_arrived(sim, b, t)
@@ -164,7 +168,7 @@ def reference_advance_bundles(sim: TransportSim, t: int, blocked: np.ndarray) ->
     return np.array(tx), np.array(rx), np.array(sent, dtype=np.int64)
 
 
-def reference_deliver(sim: TransportSim, t: int, _open_row) -> tuple:
+def reference_deliver(sim: TransportSim, sec_pos: np.ndarray, t: int, _open_row) -> tuple:
     """Subframe 3: greedy clear collection regions, one packet per sink node.
 
     Admission ignores the sink table row it is handed and tests rectangles
@@ -201,6 +205,6 @@ def reference_deliver(sim: TransportSim, t: int, _open_row) -> tuple:
                 len(sim.records) + 1, PRIMARY, 3 * b.born, 3 * t + 2,
                 int(sim.pair_path_len[b.pair]), b.segments))
     sim.pending = [b for b in sim.pending if id(b) not in done]
-    return (sim.sec_pos[[b.int_dest for b in delivered]],
+    return (sec_pos[[b.int_dest for b in delivered]],
             sim.pri_pos[[b.dst_node for b in delivered]],
             np.array([b.sink_cell for b in delivered], dtype=np.int64))

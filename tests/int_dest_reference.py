@@ -13,6 +13,8 @@ import numpy as np
 from tiersim.deployment import Deployment
 from tiersim.routing import hv_path_cells
 
+from secondary_positions import secondary_positions
+
 
 def reference_primary_setup(dep: Deployment) -> dict[str, np.ndarray]:
     """pair_path_len, pair_direct, pair_relay_cell, pair_int_dest and
@@ -29,6 +31,7 @@ def reference_primary_setup(dep: Deployment) -> dict[str, np.ndarray]:
         "pair_int_dest_cell": np.full(count, -1, dtype=np.int64),
     }
     sec_in_prim = dep.secondary_index_primary_grid
+    sec_pos = secondary_positions(dep)
     int_dest: dict[tuple[int, int], int] = {}
     for i in range(count):
         path = hv_path_cells(int(src_cells[i]), int(dst_cells[i]),
@@ -45,7 +48,7 @@ def reference_primary_setup(dep: Deployment) -> dict[str, np.ndarray]:
             node = -1
             if len(members):
                 center = dep.primary_grid.center(key[1])
-                d2 = ((dep.secondary_pos[members] - center) ** 2).sum(axis=1)
+                d2 = ((sec_pos[members] - center) ** 2).sum(axis=1)
                 node = int(members[np.argmin(d2)])
             int_dest[key] = node
         if node < 0:

@@ -19,6 +19,8 @@ from tiersim.deployment import SECONDARY
 from tiersim.scheduler import TICKS
 from tiersim.transport import INJECT_EVERY, NO_HOPS, PacketRecord, TransportSim
 
+from secondary_positions import secondary_positions
+
 
 def use_reference_queue(sim: TransportSim) -> TransportSim:
     """Make sim inject and advance sampled packets with the slot matrix."""
@@ -28,7 +30,7 @@ def use_reference_queue(sim: TransportSim) -> TransportSim:
     sim.pos2 = np.full((take, cap), -1, dtype=np.int64)
     sim.birth2 = np.full((take, cap), -1, dtype=np.int64)
     sim._inject = partial(reference_inject, sim)
-    sim._advance_secondary = partial(reference_advance, sim)
+    sim._advance_secondary = partial(reference_advance, sim, secondary_positions(sim.dep))
     return sim
 
 
@@ -54,7 +56,8 @@ def reference_inject(sim: TransportSim, t: int) -> None:
     sim.injected_s += sim.n_sampled
 
 
-def reference_advance(sim: TransportSim, t: int, blocked: np.ndarray) -> tuple:
+def reference_advance(sim: TransportSim, sec_pos: np.ndarray, t: int,
+                      blocked: np.ndarray) -> tuple:
     """Subframe 1: one hop per unblocked cell per path, eldest packet first."""
     if sim.n_sampled == 0:
         return NO_HOPS
@@ -76,10 +79,10 @@ def reference_advance(sim: TransportSim, t: int, blocked: np.ndarray) -> tuple:
         at = sim.path_off[rows] + newpos
         prev = sim.path_flat[at - 1]
         new = sim.path_flat[at]
-        tx = np.where((newpos == 1)[:, None], sim.sec_pos[sim.s_src[rows]],
-                      sim.sec_pos[sim.sec_relay[prev]])
+        tx = np.where((newpos == 1)[:, None], sec_pos[sim.s_src[rows]],
+                      sec_pos[sim.sec_relay[prev]])
         rx = np.where((newpos == sim.plen[rows] - 1)[:, None],
-                      sim.sec_pos[sim.s_dst[rows]], sim.sec_pos[sim.sec_relay[new]])
+                      sec_pos[sim.s_dst[rows]], sec_pos[sim.sec_relay[new]])
         moved_hops = (tx, rx, prev)
 
     done = occ[:, 0] & (pos[:, 0] == sim.plen - 1)

@@ -9,20 +9,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from int_dest_reference import reference_primary_setup
+from secondary_positions import secondary_positions
+
 from tiersim import deployment
 from tiersim.deployment import (
     SECONDARY_NODE_BYTES,
     CellGrid,
     CellIndex,
     ConfigurationError,
+    PositionStream,
     SimConfig,
     build_deployment,
     cell_occupancy,
     pair_sd,
     primary_cell_area,
+    rng_streams,
     sample_ppp,
     secondary_cell_area,
 )
+from tiersim.harness import prepare
 
 
 # ======== configuration ========
@@ -171,6 +177,84 @@ def test_ppp_rejects_nonpositive_density():
         sample_ppp(0.0, 1)
 
 
+# ======== regenerated positions ========
+# A Deployment holds no secondary positions: PositionStream regenerates them
+# from the deployment stream. These pin the numpy stream facts it rests on.
+
+
+def test_chunked_random_equals_one_call():
+    whole = np.random.default_rng(8).random((10_001, 2))
+    rng = np.random.default_rng(8)
+    parts = [rng.random((min(977, 10_001 - i), 2)) for i in range(0, 10_001, 977)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_advance_regenerates_node():
+    # node i is the pair of doubles 2i, 2i+1 of the stream
+    whole = np.random.default_rng(8).random((10_001, 2))
+    for i in (0, 1, 977, 10_000):
+        bit_generator = np.random.PCG64(8)  # what default_rng(8) draws from
+        bit_generator.advance(2 * i)
+        assert np.array_equal(np.random.Generator(bit_generator).random(2), whole[i])
+
+
+@pytest.mark.parametrize("count", [2, 3, 1000, 65_537])
+def test_int32_shuffle_equals_permutation(count):
+    ids = np.arange(count, dtype=np.int32)
+    np.random.default_rng(4).shuffle(ids)
+    assert np.array_equal(ids, np.random.default_rng(4).permutation(count))
+
+
+@pytest.mark.parametrize("density", [1.0, 300.0, 5000.0])
+def test_regenerated_positions_equal_sample_ppp(density):
+    # the stream the deployment draws from, after its primary tier
+    streams = [rng_streams(6)[0] for _ in range(2)]
+    for rng in streams:
+        sample_ppp(40.0, rng)
+    want = sample_ppp(density, streams[0])
+    stream = PositionStream(density, streams[1])
+    assert len(stream) == len(want)
+    # and the stream goes on where sample_ppp leaves it
+    assert streams[0].random() == streams[1].random()
+    for size in (None, 1, 7, len(want) + 1):
+        got = [pos for _, pos in stream.chunks(size)]
+        assert np.array_equal(np.concatenate([np.empty((0, 2))] + got), want)
+    ids = np.random.default_rng(1).integers(0, len(want), 50) if len(want) else []
+    assert np.array_equal(stream.take(ids), want[ids])  # repeats and any order
+
+
+def test_deployment_positions_equal_sample_ppp():
+    dep = build_deployment(SimConfig(n=64, seed=9))
+    rng = rng_streams(9)[0]
+    assert np.array_equal(sample_ppp(64, rng), dep.primary_pos)
+    assert np.array_equal(secondary_positions(dep), sample_ppp(64**2, rng))
+
+
+@pytest.mark.parametrize("chunk", [deployment.CHUNK, 1000])
+def test_int_dest_scan_equals_reference(chunk, monkeypatch):
+    # The handover search is a running minimum over chunks of regenerated
+    # positions. Positions snapped to a 1/64 lattice put about 16 nodes on
+    # each point, so exact ties are common, and chunks of 1000 split them
+    # across chunk boundaries: the lowest node id must still win.
+    monkeypatch.setattr(deployment, "CHUNK", chunk)
+    draw = PositionStream.chunks
+
+    def snapped(stream, *args):
+        for i, pos in draw(stream, *args):
+            yield i, (np.floor(pos * 64) + 0.5) / 64
+
+    monkeypatch.setattr(PositionStream, "chunks", snapped)
+    sim = prepare(SimConfig(n=256, frames=8, warmup_frames=0, seed=5))
+    want = reference_primary_setup(sim.dep)
+    for name in ("pair_int_dest", "pair_int_dest_cell"):
+        assert np.array_equal(getattr(sim, name), want[name]), name
+    pos = secondary_positions(sim.dep)
+    int_dests = sim.pair_int_dest[sim.pair_int_dest >= 0]
+    assert np.array_equal(sim.pair_int_dest_pos[sim.pair_int_dest >= 0], pos[int_dests])
+    # the run had ties: another node sits on some int-dest's point
+    assert any((pos == pos[node]).all(axis=1).sum() > 1 for node in int_dests)
+
+
 # ======== pairing ========
 
 
@@ -225,9 +309,9 @@ def test_build_deployment_deterministic():
     a = build_deployment(cfg)
     b = build_deployment(cfg)
     assert np.array_equal(a.primary_pos, b.primary_pos)
-    assert np.array_equal(a.secondary_pos, b.secondary_pos)
+    assert np.array_equal(secondary_positions(a), secondary_positions(b))
     assert np.array_equal(a.primary_pairs, b.primary_pairs)
-    assert np.array_equal(a.secondary_pairs, b.secondary_pairs)
+    assert a.pairing_state == b.pairing_state
 
 
 def test_deployment_indexes_partition_nodes():
@@ -237,7 +321,7 @@ def test_deployment_indexes_partition_nodes():
     assert occ.secondary_per_secondary_cell.sum() == len(dep.secondary_pos)
     assert occ.secondary_per_primary_cell.sum() == len(dep.secondary_pos)
     # membership lists agree with the per-node cell assignment
-    on_primary = dep.primary_grid.cell_of(dep.secondary_pos)
+    on_primary = dep.primary_grid.cell_of(secondary_positions(dep))
     for cell in range(dep.primary_grid.cell_count):
         members = dep.secondary_index_primary_grid.members(cell)
         assert (on_primary[members] == cell).all()
@@ -292,11 +376,18 @@ def test_build_deployment_rejects_ids_beyond_int32(monkeypatch):
         build_deployment(SimConfig(n=2.0**16))
 
 
-def test_secondary_tier_holds_28_bytes_per_node():
-    dep = build_deployment(SimConfig(n=128, seed=0))
-    held = (dep.secondary_pos, dep.secondary_cells, dep.secondary_pairs,
-            dep.secondary_index_primary_grid.order)
-    assert sum(a.nbytes for a in held) / len(dep.secondary_pos) <= 28
+def held_arrays(obj):
+    """Every array obj holds, through the deployment's own containers."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (CellIndex, PositionStream)):
+            yield from held_arrays(value)
+
+
+def test_deployment_holds_at_most_12_bytes_per_secondary_node():
+    dep = build_deployment(SimConfig(n=256, beta=2.0, seed=0))
+    assert sum(a.nbytes for a in held_arrays(dep)) <= 12 * len(dep.secondary_pos)
 
 
 def test_chunked_build_matches_whole_array_forms(monkeypatch):
@@ -304,9 +395,10 @@ def test_chunked_build_matches_whole_array_forms(monkeypatch):
     # counts and the member order equal their whole-array forms
     monkeypatch.setattr(deployment, "CHUNK", 1000)
     dep = build_deployment(SimConfig(n=128, seed=2))
-    pos = dep.secondary_pos
+    pos = secondary_positions(dep)
     cells = dep.secondary_grid.cell_of(pos)
-    assert dep.secondary_cells.dtype == np.uint32
+    # the narrowest type for 18 * 18 cells
+    assert dep.secondary_cells.dtype == np.uint16
     assert np.array_equal(dep.secondary_cells, cells)
     assert np.array_equal(dep.secondary_counts,
                           np.bincount(cells, minlength=dep.secondary_grid.cell_count))
@@ -324,7 +416,7 @@ def test_deployment_refinement_consistency():
     assert k_s == q * k_p
     # a node's secondary cell must nest inside its primary-grid cell
     sx, sy = np.divmod(dep.secondary_cells, k_s)
-    px, py = np.divmod(dep.primary_grid.cell_of(dep.secondary_pos), k_p)
+    px, py = np.divmod(dep.primary_grid.cell_of(secondary_positions(dep)), k_p)
     assert (sx // q == px).all()
     assert (sy // q == py).all()
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from capture_law import TAIL_LEVEL, capture_pool
 from secondary_index import SecondaryIndex
 from tiersim import deployment, routing
-from tiersim.deployment import SimConfig, build_deployment, primary_cell_area
-from tiersim.routing import hv_path_cells, path_load_census, select_relays
+from tiersim.deployment import CellGrid, SimConfig, build_deployment, primary_cell_area
+from tiersim.routing import HandoverSearch, hv_path_cells, path_load_census, select_relays
 
 
 def flat(x, y, k):
@@ -68,17 +68,26 @@ def test_path_properties(k, a, b):
 
 
 def test_single_node_cell_is_forced(monkeypatch):
-    # a cell holding one tier only elects that tier; secondary nodes are kept
-    # out of primary cell 0 and primary nodes out of cell 1 so both cases occur
+    # a cell holding one tier only elects that tier; secondary nodes are moved
+    # out of primary cell 0 (one column over) and primary nodes are kept out
+    # of cell 1, so both cases occur
     cfg = SimConfig(n=100, seed=0)
     _, grid = primary_cell_area(cfg.n)
     draw = deployment.sample_ppp
+    regenerate = deployment.PositionStream.chunks
 
     def thinned(density, seed):
         pos = draw(density, seed)
-        return pos[grid.cell_of(pos) != (0 if density == cfg.m else 1)]
+        return pos[grid.cell_of(pos) != 1]
+
+    def moved(stream, *args):
+        for i, pos in regenerate(stream, *args):
+            inside = grid.cell_of(pos) == 0
+            pos[inside, 0] += 1 / grid.side_count
+            yield i, pos
 
     monkeypatch.setattr(deployment, "sample_ppp", thinned)
+    monkeypatch.setattr(deployment.PositionStream, "chunks", moved)
     dep = build_deployment(cfg)
     relays = select_relays(dep, 1)
     occ_p = dep.primary_counts
@@ -88,6 +97,33 @@ def test_single_node_cell_is_forced(monkeypatch):
     assert len(is_sec) == dep.primary_grid.cell_count
     assert not is_sec[occ_s == 0].any()
     assert is_sec[(occ_p == 0) & (occ_s > 0)].all()
+
+
+def test_handover_search_looks_across_a_rounding_border(monkeypatch):
+    # On a 5 x 5 primary grid refined 10 times, x = 0.2 - 1 ulp lies in
+    # primary column 0 but in secondary column 10, the first of column 1's
+    # block. A node planted there, on row 2's centre line, is the member of
+    # primary cell (0, 2) nearest the centre of cell (1, 2).
+    x = np.nextafter(0.2, 0.0)
+    monkeypatch.setattr(deployment, "primary_cell_area", lambda n, ap=1.0: (0.04, CellGrid(5)))
+    monkeypatch.setattr(deployment, "secondary_cell_area", lambda n, b, a: (4e-4, CellGrid(50)))
+    regenerate = deployment.PositionStream.chunks
+
+    def planted(stream, *args):
+        for i, pos in regenerate(stream, *args):
+            if i == 0:
+                pos[0] = (x, 0.5)
+            yield i, pos
+
+    monkeypatch.setattr(deployment.PositionStream, "chunks", planted)
+    dep = build_deployment(SimConfig(n=128, seed=0))
+    assert 0 in dep.secondary_index_primary_grid.members(2)
+    assert dep.secondary_cells[0] // 50 == 10
+    search = HandoverSearch(dep, np.array([2 * 25 + 7]))
+    for i, pos in dep.secondary_pos.chunks():
+        search.update(i, pos)
+    assert search.node[0] == 0
+    assert np.array_equal(search.node_pos[0], (x, 0.5))
 
 
 def test_relay_lives_in_its_cell():

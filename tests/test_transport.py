@@ -219,15 +219,16 @@ def test_primary_setup_empty_penultimate_cell(monkeypatch):
     pair = int(np.flatnonzero(~sim.pair_direct)[0])
     src, dst = sim.dep.primary_cells[sim.pairs_p[pair]]
     empty = int(hv_path_cells(int(src), int(dst), sim.k_p)[-2])
-    draw = deployment.sample_ppp
+    draw = deployment.PositionStream.chunks
 
-    def secondaries_outside(density, seed):
-        pos = draw(density, seed)
-        if density != cfg.m:
-            return pos
-        return pos[sim.gp.cell_of(pos) != empty]
+    def secondaries_outside(stream, *args):
+        # every node of the emptied cell moves one primary column over
+        for i, pos in draw(stream, *args):
+            inside = sim.gp.cell_of(pos) == empty
+            pos[inside, 0] = (pos[inside, 0] + 1 / sim.k_p) % 1.0
+            yield i, pos
 
-    monkeypatch.setattr(deployment, "sample_ppp", secondaries_outside)
+    monkeypatch.setattr(deployment.PositionStream, "chunks", secondaries_outside)
     sim = prepare(cfg)
     assert sim.dep.secondary_index_primary_grid.counts[empty] == 0
     assert sim.pair_int_dest[pair] == -1 and sim.pair_int_dest_cell[pair] == -1
