@@ -200,9 +200,8 @@ def pair_sd(count: int, seed) -> np.ndarray:
     perm = np.arange(count, dtype=np.int32)
     rng.shuffle(perm)
     half = count // 2
-    # pair i is (perm[i], perm[half + i]): a strided view, not a stacked copy
-    return np.lib.stride_tricks.as_strided(
-        perm, shape=(half, 2), strides=(perm.itemsize, half * perm.itemsize), writeable=False)
+    # pair i is (perm[i], perm[half + i]): a transposed view, not a stacked copy
+    return perm[: 2 * half].reshape(2, half).T
 
 
 # ======== deployment ========
@@ -322,11 +321,9 @@ class Deployment:
 
 @dataclass(frozen=True)
 class OccupancyReport:
-    """Per-cell node counts plus connectivity flags (flags, not failures)."""
+    """Primary nodes per primary cell plus connectivity flags (flags, not failures)."""
 
     primary_per_primary_cell: np.ndarray
-    secondary_per_primary_cell: np.ndarray
-    secondary_per_secondary_cell: np.ndarray
     any_empty_primary_cell: bool
     any_empty_secondary_cell: bool
     any_cell_below_relay_count: bool
@@ -406,8 +403,6 @@ def cell_occupancy(deployment: Deployment, relay_count: int = 1) -> OccupancyRep
     sec = deployment.secondary_counts
     return OccupancyReport(
         primary_per_primary_cell=prim,
-        secondary_per_primary_cell=sec_on_prim,
-        secondary_per_secondary_cell=sec,
         any_empty_primary_cell=bool((prim == 0).any()),
         any_empty_secondary_cell=bool((sec == 0).any()),
         any_cell_below_relay_count=bool((sec_on_prim < relay_count).any()),

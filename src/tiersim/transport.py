@@ -11,13 +11,14 @@ broadcasts one packet per activation; the packet is split into N segments
 picked up by relays in the next path cell, carried across the secondary grid
 as one atomic bundle, and handed to the destination inside an admitted
 collection region. Sources are saturated: an occupied cell transmits every
-time it is active, sources within a cell taking turns. Bundles are rows of
-one table indexed by bundle id in launch order, a bundle's path is a slice of
-one flat array of secondary cells, and the bundles in flight and the delivery
-roster are arrays of bundle ids. The primary delay and roster wait are
+time it is active, sources within a cell taking turns. A cell is active once
+every PHASES frames, so at frame t its turn is t // PHASES modulo its source
+count. Bundles are rows of one table indexed by bundle id in launch order, a
+bundle's path is a slice of one flat array of secondary cells, and the
+bundles in flight and the delivery roster are arrays of bundle ids. The primary delay and roster wait are
 summed from the table's frame stamps when metrics are read.
 
-Secondary traffic is simulated for a sampled subset of pairs. Motion is
+Secondary traffic is simulated for SAMPLE_PAIRS sampled pairs. Motion is
 exact per the cell schedule; rates are scaled by the fluid packet-size
 factor derived from the full-population path census, so the reported
 per-pair throughput reflects the load of the whole network, not the sample.
@@ -73,6 +74,7 @@ AUDIT_BROADCASTS = 64      # broadcasts fully audited across all ticks
 AUDIT_RX_CAP = 64          # relay receivers sampled per audited broadcast
 AUDIT_BLOCK_COLS = 512     # broadcast audit: one power block per run of ticks starting in 512 relays
 AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
+SAMPLE_PAIRS = 256         # secondary pairs simulated per run
 
 # a subframe's transmissions as (transmitter (H,2), receiver (H,2), cell (H,))
 # arrays: the sending secondary cell of a hop, the sink cell of a handover
@@ -91,7 +93,6 @@ def relay_count(m: float) -> int:
 class RunOptions:
     """Knobs for one simulation run that are not part of the model config."""
 
-    sample_pairs: int = 256
     audit_frames: int = 512      # SINR audit window starting at warmup
     collect_records: bool = False
 
@@ -204,9 +205,8 @@ class TransportSim:
         relay = np.where(step_x != 0, src_cells + step_x * k, src_cells + step_y)
         penult = np.where(step_y != 0, dst_cells - step_y, dst_cells - step_x * k)
         self.pair_relay_cell = np.where(carried, relay, -1)
-        # pairs grouped by their source's cell, with a round-robin cursor per cell
+        # pairs grouped by their source's cell
         self.sources = CellIndex(src_cells, cell_count)
-        self._rr = np.zeros(cell_count, dtype=np.int64)
         # the handover node depends only on (penultimate cell, sink cell)
         return np.unique(penult[carried] * cell_count + dst_cells[carried], return_inverse=True)
 
@@ -226,7 +226,7 @@ class TransportSim:
         self.census_max = int(census.max()) if self.n_pairs_s else 0
         self.packet_size_factor = 1.0 / self.census_max if self.census_max else float("nan")
 
-        take = min(self.opt.sample_pairs, self.n_pairs_s)
+        take = min(SAMPLE_PAIRS, self.n_pairs_s)
         rows = np.sort(self.rng.choice(self.n_pairs_s, size=take, replace=False))
         self.s_src = pairs[rows, 0]
         self.s_dst = pairs[rows, 1]
@@ -320,8 +320,7 @@ class TransportSim:
         pairs (B,) and each emission's relay ids (none for a direct handoff)."""
         sent, relays = [], []
         for cell in self.phase_cells[t % PHASES]:
-            k = self._rr[cell] % self.sources.counts[cell]
-            self._rr[cell] += 1
+            k = (t // PHASES) % self.sources.counts[cell]
             pair = int(self.sources.order[self.sources.starts[cell] + k])
             self.injected_p += 1
             if self.pair_direct[pair]:
@@ -372,7 +371,7 @@ class TransportSim:
 
     def _inject(self, t: int) -> None:
         """Every sampled pair queues one packet at its first path position."""
-        if self.n_sampled == 0 or t % INJECT_EVERY:
+        if t % INJECT_EVERY:
             return
         self.q[self.path_off + self.plen - 1] += 1
         self.cnt += 1
@@ -385,8 +384,6 @@ class TransportSim:
         overtake each other: the k-th delivered was the k-th injected, born
         in frame INJECT_EVERY * k, and no per-packet birth is stored.
         """
-        if self.n_sampled == 0:
-            return NO_HOPS
         q = self.q
         move = (q > 0) & ~blocked[self.q_cell]
         q -= move
@@ -641,8 +638,6 @@ class TransportSim:
         delivered_p_post = carried + self.delivered_direct_post
         lambda_p = (delivered_p_post / (self.n_pairs_p * span * 3)
                     if self.n_pairs_p else float("nan"))
-        injected = self.injected_p + self.injected_s
-        dropped = self.dropped_p
         return {
             "lambda_p": lambda_p,
             "T_p": lambda_p * self.n_pairs_p,
@@ -654,7 +649,8 @@ class TransportSim:
             "min_sinr_primary": self.report.floor("primary"),
             "min_sinr_delivery": self.report.floor("delivery"),
             "min_sinr_secondary": self.report.floor("secondary"),
-            "drop_rate": dropped / injected if injected else 0.0,
+            # only the primary tier drops, so only its injections count
+            "drop_rate": self.dropped_p / self.injected_p if self.injected_p else 0.0,
             "delivered_secondary": self.delivered_s_post,
             "delivered_carried": carried,
             "delivered_direct": self.delivered_direct_post,

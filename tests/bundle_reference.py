@@ -89,8 +89,7 @@ def reference_sums(sim: TransportSim) -> tuple[int, int]:
 def reference_broadcast(sim: TransportSim, sec_pos: np.ndarray, t: int) -> tuple:
     sent, relays = [], []
     for cell in sim.phase_cells[t % PHASES]:
-        k = sim._rr[cell] % sim.sources.counts[cell]
-        sim._rr[cell] += 1
+        k = (t // PHASES) % sim.sources.counts[cell]
         pair = int(sim.sources.order[sim.sources.starts[cell] + k])
         sim.injected_p += 1
         if sim.pair_direct[pair]:

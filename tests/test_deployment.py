@@ -318,8 +318,8 @@ def test_deployment_indexes_partition_nodes():
     dep = build_deployment(SimConfig(n=100, seed=1))
     occ = cell_occupancy(dep)
     assert occ.primary_per_primary_cell.sum() == len(dep.primary_pos)
-    assert occ.secondary_per_secondary_cell.sum() == len(dep.secondary_pos)
-    assert occ.secondary_per_primary_cell.sum() == len(dep.secondary_pos)
+    assert dep.secondary_counts.sum() == len(dep.secondary_pos)
+    assert dep.secondary_index_primary_grid.counts.sum() == len(dep.secondary_pos)
     # membership lists agree with the per-node cell assignment
     on_primary = dep.primary_grid.cell_of(secondary_positions(dep))
     for cell in range(dep.primary_grid.cell_count):
@@ -461,5 +461,5 @@ def test_occupancy_flags():
     assert occ.any_cell_below_relay_count  # nothing holds a billion relays
     occ = cell_occupancy(dep, relay_count=1)
     assert occ.any_cell_below_relay_count == bool(
-        (occ.secondary_per_primary_cell < 1).any()
+        (dep.secondary_index_primary_grid.counts < 1).any()
     )

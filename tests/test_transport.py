@@ -24,9 +24,13 @@ from tiersim.transport import (AUDIT_BROADCASTS, AUDIT_RX_CAP, NO_HOPS, RunOptio
                                relay_count)
 
 
-def make_sim(n=100.0, seed=0, frames=96, warmup=32, ap_scale=1.0, **opts):
+def make_sim(n=100.0, seed=0, frames=96, warmup=32, ap_scale=1.0, sample_pairs=None, **opts):
+    """A prepared sim; sample_pairs, if given, stands in for SAMPLE_PAIRS at set-up."""
     cfg = SimConfig(n=n, frames=frames, warmup_frames=warmup, seed=seed, ap_scale=ap_scale)
-    return prepare(cfg, RunOptions(**opts))
+    with pytest.MonkeyPatch.context() as mp:
+        if sample_pairs is not None:
+            mp.setattr(transport, "SAMPLE_PAIRS", sample_pairs)
+        return prepare(cfg, RunOptions(**opts))
 
 
 # ======== segmentation count ========
@@ -194,6 +198,16 @@ def test_dropped_when_no_interior_destination():
     assert sim.dropped_p > 0
     assert sim.delivered_carried == 0
     assert sim.delivered_direct > 0  # one-cell pairs never touch the carry tier
+
+
+def test_drop_rate_counts_only_the_primary_tier():
+    # the sampled secondary pairs inject about 12 k packets and never drop
+    # one, so they must not dilute the primary drops below the 1 % valid bound
+    sim = make_sim()
+    sim.pair_int_dest[:] = -1
+    sim.run()
+    assert (sim.dropped_p, sim.injected_p) == (14, 18)
+    assert sim.metrics()["drop_rate"] == 14 / 18
 
 
 # ======== primary path set-up ========
