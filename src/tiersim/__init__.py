@@ -49,7 +49,6 @@ from .harness import (
     fit_exponent,
     fit_line,
     format_fit_report,
-    planted_results,
     prepare,
     run_point,
     run_sweep,

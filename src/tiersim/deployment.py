@@ -298,7 +298,8 @@ class Deployment:
 
     The secondary tier holds about 6 B per node: its cell on the secondary
     grid (the narrowest unsigned type that holds every cell, uint16 up to
-    k_s = 256) and its entry in the primary-grid member order (uint32).
+    k_s = 256) and its entry in the member order of the primary grid
+    (uint32), where its cell is the parent of its secondary cell.
     Positions are regenerated from the deployment stream (secondary_pos),
     and the pairs are drawn when a run is set up, from the pairing stream's
     state after the primary pairing (pairing_state).
@@ -362,9 +363,11 @@ def build_deployment(config: SimConfig) -> Deployment:
     primary_pairs = pair_sd(len(primary_pos), g_pairs)
 
     primary_cells = p_grid.cell_of(primary_pos)
-    # both cells of every secondary node, a chunk of positions at a time; the
-    # primary-grid cell is kept only until its member order is placed (k_p**2
-    # fits uint16 below ID_LIMIT)
+    # both cells of every secondary node, a chunk of positions at a time. The
+    # primary one is the secondary one's parent (the primary cell holding its
+    # centre), kept only until its member order is placed (k_p**2 fits uint16
+    # below ID_LIMIT)
+    parent = p_grid.cell_of(np.column_stack(s_grid.center(np.arange(s_grid.cell_count))))
     m = len(secondary_pos)
     secondary_cells = np.empty(m, dtype=np.min_scalar_type(s_grid.cell_count - 1))
     secondary_counts = np.zeros(s_grid.cell_count, dtype=np.int64)
@@ -374,7 +377,7 @@ def build_deployment(config: SimConfig) -> Deployment:
         cells = s_grid.cell_of(pos)
         secondary_cells[i : i + len(pos)] = cells
         secondary_counts += np.bincount(cells, minlength=s_grid.cell_count)
-        sec_on_primary[i : i + len(pos)] = p_grid.cell_of(pos)
+        sec_on_primary[i : i + len(pos)] = parent[cells]
 
     return Deployment(
         config=config,

@@ -15,14 +15,14 @@ import csv
 import json
 import math
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .deployment import SimConfig, build_deployment, cell_occupancy, rng_streams
 from .routing import select_relays
 from .scheduler import TICKS
-from .transport import RunOptions, TransportSim, relay_count
+from .transport import RunOptions, TransportSim
 
 __all__ = [
     "CSV_COLUMNS",
@@ -41,7 +41,6 @@ __all__ = [
     "fit_exponent",
     "fit_line",
     "check_theorems",
-    "planted_results",
     "trace_packet",
     "emit",
     "format_fit_report",
@@ -397,46 +396,10 @@ def check_theorems(results, tolerance_slope: float = 0.15,
                      used_runs=len(usable), total_runs=len(results))
 
 
-# ======== planted self-test data ========
-
-
-def planted_results(n_values=(64, 128, 256, 512, 1024), beta: float = 2.0) -> list:
-    """Synthetic results lying exactly on every power-law curve.
-
-    Each quantity is set to its law's formula with unit constant, so every
-    exponent fit must recover slope 1.0 with ~zero residual and both
-    constancy ratios must be ~1. The inter-tier linear relation is NOT
-    planted: an affine offset cannot coexist with exact power laws.
-    """
-    out = []
-    for n in n_values:
-        m = float(n) ** beta
-        a_p = 2.0 * math.log(n) / n
-        a_s = 2.0 * math.log(m) / m
-        lambda_s = 1.0 / (m * math.sqrt(a_s))
-        lambda_p = 1.0 / (n * a_p)
-        out.append(ExperimentResult(
-            n=float(n), beta=beta, alpha=4.0, ap_scale=1.0, m=m,
-            a_p=a_p, a_s=a_s,
-            k_p=max(2, round(1.0 / math.sqrt(a_p))),
-            k_s=max(2, round(1.0 / math.sqrt(a_s))),
-            N=relay_count(m),
-            lambda_p=lambda_p, T_p=1.0 / a_p,
-            D_p=math.sqrt(m * math.log(m)) / (n * a_p),
-            lambda_s=lambda_s, T_s=1.0 / math.sqrt(a_s),
-            D_s=1.0 / math.sqrt(a_s),
-            min_sinr_primary=1.0, min_sinr_delivery=1.0, min_sinr_secondary=1.0,
-            drop_rate=0.0, valid=True, seed=0, frames=0, warmup=0,
-            pairs_p=int(round(1.0 / (a_p * lambda_p))),
-            pairs_s=int(round(m)),
-            low_confidence=False, capture_fraction=1.0))
-    return out
-
-
 # ======== single-packet delay decomposition ========
 
 
-def trace_packet(config: SimConfig, options: RunOptions | None = None) -> dict:
+def trace_packet(config: SimConfig) -> dict:
     """Follow one carried primary packet and split its delay additively.
 
     Returns the measured primary delay, the secondary-phase delay of its
@@ -444,8 +407,7 @@ def trace_packet(config: SimConfig, options: RunOptions | None = None) -> dict:
     roster wait, and handoff. The identity D_p = (3/64)*D_s_hat + C holds
     exactly by construction of the stamps.
     """
-    options = replace(options or RunOptions(), audit_frames=0)
-    sim = prepare(config, options)
+    sim = prepare(config, RunOptions(audit_frames=0))
     # delivery serves the roster in order, so the first carried packet is the
     # first bundle of the roster the delivering frame started from
     while not sim.delivered_carried and sim.frame < config.frames:

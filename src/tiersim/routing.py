@@ -1,10 +1,12 @@
-"""Horizontal-vertical cell paths, designated relays, and path-load census.
+"""Horizontal-vertical cell paths, designated relays, handover nodes, path-load census.
 
 Every data path runs along the source's row to the destination's column,
 then along that column: one turn at most. Each secondary cell elects one
 designated relay that forwards all secondary paths crossing the cell for
 the whole run. A primary cell keeps only the tier that wins its relay draw,
 for the capture check; primary packets travel on relays drawn per broadcast.
+A secondary node belongs to the primary cell that holds its secondary cell,
+so a handover node is sought only in the penultimate cell's secondary cells.
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ class HandoverSearch:
 
     update() takes chunks of secondary positions in node-id order and keeps
     a running minimum: a later node replaces the nearest so far only when
-    strictly nearer. A chunk is measured only in the secondary cells that
-    can hold a member nearer than the bound; narrow() tightens the bound to
-    the nearest so far.
+    strictly nearer. A chunk is measured only in the penultimate cell's
+    secondary cells that can hold a node nearer than the bound; narrow()
+    tightens the bound to the nearest so far.
     """
 
     # far above the rounding of cell_of and of a squared distance
@@ -140,35 +142,20 @@ class HandoverSearch:
         self.narrow()
 
     def narrow(self) -> None:
-        """Look only at the secondary cells that can hold a member of a key's
-        penultimate cell no farther than the nearest so far.
-
-        Cells just beyond the penultimate cell are looked at too, and every
-        span is widened by MARGIN, so a member that cell_of places across a
-        border is not missed.
-        """
+        """Look only at the secondary cells of a key's penultimate cell that
+        can hold a member no farther than the nearest so far. Every span is
+        widened by MARGIN, since cell_of can place a node an ulp outside it."""
         k_p = self.dep.primary_grid.side_count
         k_s = self.dep.secondary_grid.side_count
         q = k_s // k_p
-
-        def axis(p, c):
-            """Per key: the secondary index of each cell across the
-            penultimate cell and one beyond, whether it lies on the grid, and
-            the gap from c to the cell's span clipped to the penultimate
-            cell's (a sliver for a cell beyond it)."""
-            s = p[:, None] * q + np.arange(-1, q + 1)
-            lo = np.maximum(s / k_s, p[:, None] / k_p) - self.MARGIN
-            hi = np.minimum((s + 1) / k_s, (p[:, None] + 1) / k_p) + self.MARGIN
-            gap = np.maximum(np.maximum(lo - c[:, None], c[:, None] - hi), 0.0)
-            return s, (s >= 0) & (s < k_s), gap
-
-        px, py = np.divmod(self.pen, k_p)
-        sx, on_x, gap_x = axis(px, self.cx)
-        sy, on_y, gap_y = axis(py, self.cy)
-        cell = sx[:, :, None] * k_s + sy[:, None, :]
-        near = gap_x[:, :, None] ** 2 + gap_y[:, None, :] ** 2
-        look = on_x[:, :, None] & on_y[:, None, :]
-        look &= near <= self.best[:, None, None] * (1 + self.MARGIN)
+        # per axis and key: the secondary index of each cell across the
+        # penultimate cell, and the gap from the sink cell's centre to its span
+        s = np.stack(np.divmod(self.pen, k_p))[:, :, None] * q + np.arange(q)
+        c = np.stack([self.cx, self.cy])[:, :, None]
+        gap = np.maximum(np.maximum(s / k_s - c, c - (s + 1) / k_s) - self.MARGIN, 0.0)
+        cell = s[0][:, :, None] * k_s + s[1][:, None, :]
+        near = gap[0][:, :, None] ** 2 + gap[1][:, None, :] ** 2
+        look = near <= self.best[:, None, None] * (1 + self.MARGIN)
         look[look] = self.dep.secondary_counts[cell[look]] > 0
         cell = cell[look]
         self.count = np.bincount(cell, minlength=k_s * k_s)
@@ -181,14 +168,12 @@ class HandoverSearch:
         cells = self.dep.secondary_cells[first : first + len(pos)]
         at = np.flatnonzero(self.looked.take(cells))
         cells = cells[at]
-        own = self.dep.primary_grid.cell_of(pos[at])
-        # every (node, key) pair of a looked-at cell, in node order, that the
-        # node's own primary cell admits
+        # every (node, key) pair of a looked-at cell, in node order: the cell
+        # lies inside the key's penultimate cell, so the node is its member
         reps = self.count[cells]
         nth = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         j = self.key[np.repeat(self.start[cells], reps) + nth]
-        admit = np.repeat(own, reps) == self.pen[j]
-        at, j = np.repeat(at, reps)[admit], j[admit]
+        at = np.repeat(at, reps)
         ddx, ddy = pos[at, 0] - self.cx[j], pos[at, 1] - self.cy[j]
         d2 = ddx * ddx + ddy * ddy
         low = self.best.copy()

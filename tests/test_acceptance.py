@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from capture_law import TAIL_LEVEL, capture_pool
+from planted_results import planted_results
 from region_reference import rect_regions
 from sent_cells import watch_sent_cells
 from tiersim.deployment import SimConfig
 from tiersim.harness import (
     SweepPlan,
     check_theorems,
-    planted_results,
     prepare,
     run_sweep,
     trace_packet,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from border_node import border_deployment
 from int_dest_reference import reference_primary_setup
 from secondary_positions import secondary_positions
 
@@ -314,14 +315,22 @@ def test_build_deployment_deterministic():
     assert a.pairing_state == b.pairing_state
 
 
+def parent_cells(dep) -> np.ndarray:
+    """The primary cell that holds each secondary node's secondary cell."""
+    k_p, k_s = dep.primary_grid.side_count, dep.secondary_grid.side_count
+    q = k_s // k_p
+    sx, sy = np.divmod(dep.secondary_cells.astype(np.int64), k_s)
+    return sx // q * k_p + sy // q
+
+
 def test_deployment_indexes_partition_nodes():
     dep = build_deployment(SimConfig(n=100, seed=1))
     occ = cell_occupancy(dep)
     assert occ.primary_per_primary_cell.sum() == len(dep.primary_pos)
     assert dep.secondary_counts.sum() == len(dep.secondary_pos)
     assert dep.secondary_index_primary_grid.counts.sum() == len(dep.secondary_pos)
-    # membership lists agree with the per-node cell assignment
-    on_primary = dep.primary_grid.cell_of(secondary_positions(dep))
+    # membership lists agree with each node's secondary cell's parent
+    on_primary = parent_cells(dep)
     for cell in range(dep.primary_grid.cell_count):
         members = dep.secondary_index_primary_grid.members(cell)
         assert (on_primary[members] == cell).all()
@@ -402,23 +411,27 @@ def test_chunked_build_matches_whole_array_forms(monkeypatch):
     assert np.array_equal(dep.secondary_cells, cells)
     assert np.array_equal(dep.secondary_counts,
                           np.bincount(cells, minlength=dep.secondary_grid.cell_count))
-    on_primary = dep.primary_grid.cell_of(pos)
+    on_primary = parent_cells(dep)
     assert np.array_equal(dep.secondary_index_primary_grid.order,
                           np.argsort(on_primary, kind="stable"))
     assert np.array_equal(dep.secondary_index_primary_grid.counts,
                           np.bincount(on_primary, minlength=dep.primary_grid.cell_count))
 
 
-def test_deployment_refinement_consistency():
-    dep = build_deployment(SimConfig(n=100, seed=2))
-    k_p, k_s = dep.primary_grid.side_count, dep.secondary_grid.side_count
-    q = k_s // k_p
-    assert k_s == q * k_p
-    # a node's secondary cell must nest inside its primary-grid cell
-    sx, sy = np.divmod(dep.secondary_cells, k_s)
-    px, py = np.divmod(dep.primary_grid.cell_of(secondary_positions(dep)), k_p)
-    assert (sx // q == px).all()
-    assert (sy // q == py).all()
+def test_deployment_refinement_consistency(monkeypatch):
+    # every member of a primary cell has its secondary cell inside that cell,
+    # also a node one ulp below a primary border, which cell_of on its
+    # position places in the cell before
+    plain = build_deployment(SimConfig(n=100, seed=2))
+    for dep in (plain, border_deployment(monkeypatch)):
+        k_p, k_s = dep.primary_grid.side_count, dep.secondary_grid.side_count
+        q = k_s // k_p
+        assert k_s == q * k_p
+        index = dep.secondary_index_primary_grid
+        sx, sy = np.divmod(dep.secondary_cells[index.order], k_s)
+        px, py = np.divmod(np.repeat(np.arange(dep.primary_grid.cell_count), index.counts), k_p)
+        assert (sx // q == px).all()
+        assert (sy // q == py).all()
 
 
 def test_occupancy_mean_at_ten_thousand():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from planted_results import planted_results
 from tiersim.cli import main
 from tiersim.deployment import ConfigurationError, SimConfig
 from tiersim.harness import (
@@ -17,7 +18,6 @@ from tiersim.harness import (
     fit_exponent,
     fit_line,
     format_fit_report,
-    planted_results,
     run_point,
     sweep_configs,
     trace_packet,

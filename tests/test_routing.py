@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from border_node import BORDER_NODE, BORDER_X, border_deployment
 from capture_law import TAIL_LEVEL, capture_pool
 from secondary_index import SecondaryIndex
 from tiersim import deployment, routing
-from tiersim.deployment import CellGrid, SimConfig, build_deployment, primary_cell_area
+from tiersim.deployment import SimConfig, build_deployment, primary_cell_area
 from tiersim.routing import HandoverSearch, hv_path_cells, path_load_census, select_relays
 
 
@@ -100,30 +101,18 @@ def test_single_node_cell_is_forced(monkeypatch):
 
 
 def test_handover_search_looks_across_a_rounding_border(monkeypatch):
-    # On a 5 x 5 primary grid refined 10 times, x = 0.2 - 1 ulp lies in
-    # primary column 0 but in secondary column 10, the first of column 1's
-    # block. A node planted there, on row 2's centre line, is the member of
-    # primary cell (0, 2) nearest the centre of cell (1, 2).
-    x = np.nextafter(0.2, 0.0)
-    monkeypatch.setattr(deployment, "primary_cell_area", lambda n, ap=1.0: (0.04, CellGrid(5)))
-    monkeypatch.setattr(deployment, "secondary_cell_area", lambda n, b, a: (4e-4, CellGrid(50)))
-    regenerate = deployment.PositionStream.chunks
-
-    def planted(stream, *args):
-        for i, pos in regenerate(stream, *args):
-            if i == 0:
-                pos[0] = (x, 0.5)
-            yield i, pos
-
-    monkeypatch.setattr(deployment.PositionStream, "chunks", planted)
-    dep = build_deployment(SimConfig(n=128, seed=0))
-    assert 0 in dep.secondary_index_primary_grid.members(2)
-    assert dep.secondary_cells[0] // 50 == 10
-    search = HandoverSearch(dep, np.array([2 * 25 + 7]))
+    # the planted node's position lies in primary column 0, but its secondary
+    # column 10 makes it a member of primary cell 7 = (1, 2), whose member
+    # nearest the centre of cell 2 = (0, 2) it is
+    dep = border_deployment(monkeypatch)
+    assert dep.secondary_cells[BORDER_NODE] // 50 == 10
+    assert BORDER_NODE in dep.secondary_index_primary_grid.members(7)
+    assert BORDER_NODE not in dep.secondary_index_primary_grid.members(2)
+    search = HandoverSearch(dep, np.array([7 * 25 + 2]))
     for i, pos in dep.secondary_pos.chunks():
         search.update(i, pos)
-    assert search.node[0] == 0
-    assert np.array_equal(search.node_pos[0], (x, 0.5))
+    assert search.node[0] == BORDER_NODE
+    assert np.array_equal(search.node_pos[0], (BORDER_X, 0.5))
 
 
 def test_relay_lives_in_its_cell():
