@@ -3,8 +3,10 @@
 Primary nodes arrive as a Poisson point process of density n, secondary
 nodes as an independent PPP of density m = n**beta. Each tier gets a square
 cell grid sized from its density, with the secondary grid an exact
-refinement of the primary one, and nodes are matched into directed
-source-destination pairs.
+refinement of the primary one. Primary nodes are matched into directed
+source-destination pairs by a random draw; secondary node 2i sends to node
+2i + 1, a uniform random matching in law, since positions are i.i.d. in id
+order.
 """
 
 from __future__ import annotations
@@ -186,7 +188,8 @@ def sample_ppp(density: float, seed) -> np.ndarray:
 
 
 def pair_sd(count: int, seed) -> np.ndarray:
-    """Uniform perfect matching of node indices into directed S-D pairs.
+    """Uniform perfect matching of node indices into directed S-D pairs, for
+    the primary tier (the secondary tier is paired by id, in TransportSim).
 
     Returns an (P, 2) int32 array of (source, destination) index pairs. With
     an odd count one uniformly random node stays unpaired; with fewer than 2
@@ -206,9 +209,11 @@ def pair_sd(count: int, seed) -> np.ndarray:
 
 # ======== deployment ========
 
-# peak RSS per secondary node: the rise from n = 2048 to 4096 (85.9 to 205.8 MB)
-# over the rise in m (4.19 M to 16.78 M), from scripts/setup_probe.py at seed 0
-SECONDARY_NODE_BYTES = 10
+# peak RSS per secondary node, rounded up: the rise from n = 4096 to 8192
+# (143.0 to 687.8 MB) over the rise in m (16.78 M to 67.12 M) is 11.4 B, from
+# scripts/setup_probe.py at seed 0. The sizes the check can reject hold their
+# cells as uint32; with uint16 cells (k_s <= 256) the rise is about 6 B
+SECONDARY_NODE_BYTES = 12
 # node ids are held as int32 and uint32; the margin is 20+ standard
 # deviations of the Poisson node count
 ID_LIMIT = 2**31 - 2**20
@@ -269,20 +274,28 @@ class PositionStream:
 
 
 class CellIndex:
-    """Node ids (uint32) grouped by cell, in node-id order within each cell."""
+    """Node ids (uint32) grouped by cell, in node-id order within each cell.
 
-    def __init__(self, cells: np.ndarray, cell_count: int):
-        starts = range(0, len(cells), CHUNK)
-        per_chunk = [np.bincount(cells[i : i + CHUNK], minlength=cell_count)
-                     for i in starts]
+    Node i's cell is keys[i], or table[keys[i]] when a table is given: it is
+    looked up a chunk at a time, so no per-node array of cells forms.
+    """
+
+    def __init__(self, keys: np.ndarray, cell_count: int, table: np.ndarray | None = None):
+        starts = range(0, len(keys), CHUNK)
+
+        def cells(i):
+            chunk = keys[i : i + CHUNK]
+            return chunk if table is None else table[chunk]
+
+        per_chunk = [np.bincount(cells(i), minlength=cell_count) for i in starts]
         self.counts = sum(per_chunk, np.zeros(cell_count, dtype=np.int64))
         self.starts = np.concatenate([[0], np.cumsum(self.counts)])
         # np.argsort(cells, kind="stable") placed a chunk at a time: a chunk's
         # members of a cell go after those of the chunks before it
-        self.order = np.empty(len(cells), dtype=np.uint32)
+        self.order = np.empty(len(keys), dtype=np.uint32)
         cursor = self.starts[:-1].copy()
         for i, here in zip(starts, per_chunk):
-            chunk = cells[i : i + CHUNK]
+            chunk = cells(i)
             by = np.argsort(chunk, kind="stable")  # numpy radix-sorts uint16 keys
             shift = cursor - (np.cumsum(here) - here)
             self.order[shift[chunk[by]] + np.arange(len(by))] = by + i
@@ -300,9 +313,8 @@ class Deployment:
     grid (the narrowest unsigned type that holds every cell, uint16 up to
     k_s = 256) and its entry in the member order of the primary grid
     (uint32), where its cell is the parent of its secondary cell.
-    Positions are regenerated from the deployment stream (secondary_pos),
-    and the pairs are drawn when a run is set up, from the pairing stream's
-    state after the primary pairing (pairing_state).
+    Positions are regenerated from the deployment stream (secondary_pos).
+    Secondary pairs are not held: pair i is the nodes (2i, 2i + 1).
     """
 
     config: SimConfig
@@ -311,7 +323,6 @@ class Deployment:
     primary_pos: np.ndarray
     secondary_pos: PositionStream
     primary_pairs: np.ndarray
-    pairing_state: dict = field(repr=False)
     # flat cell index per node, on each grid that matters for its tier
     primary_cells: np.ndarray = field(repr=False)
     secondary_cells: np.ndarray = field(repr=False)
@@ -363,21 +374,20 @@ def build_deployment(config: SimConfig) -> Deployment:
     primary_pairs = pair_sd(len(primary_pos), g_pairs)
 
     primary_cells = p_grid.cell_of(primary_pos)
-    # both cells of every secondary node, a chunk of positions at a time. The
-    # primary one is the secondary one's parent (the primary cell holding its
-    # centre), kept only until its member order is placed (k_p**2 fits uint16
-    # below ID_LIMIT)
-    parent = p_grid.cell_of(np.column_stack(s_grid.center(np.arange(s_grid.cell_count))))
-    m = len(secondary_pos)
-    secondary_cells = np.empty(m, dtype=np.min_scalar_type(s_grid.cell_count - 1))
+    # every secondary node's cell, a chunk of positions at a time; a pass
+    # also costs O(cells)
+    secondary_cells = np.empty(len(secondary_pos),
+                               dtype=np.min_scalar_type(s_grid.cell_count - 1))
     secondary_counts = np.zeros(s_grid.cell_count, dtype=np.int64)
-    sec_on_primary = np.empty(m, dtype=np.uint16)
-    # a pass also costs O(cells)
     for i, pos in secondary_pos.chunks(max(CHUNK, s_grid.cell_count)):
         cells = s_grid.cell_of(pos)
         secondary_cells[i : i + len(pos)] = cells
         secondary_counts += np.bincount(cells, minlength=s_grid.cell_count)
-        sec_on_primary[i : i + len(pos)] = parent[cells]
+    # a secondary node's primary cell is its secondary cell's parent, the
+    # primary cell holding that cell's centre (k_p**2 fits uint16 below
+    # ID_LIMIT, so the member order is radix-sorted)
+    parent = p_grid.cell_of(
+        np.column_stack(s_grid.center(np.arange(s_grid.cell_count)))).astype(np.uint16)
 
     return Deployment(
         config=config,
@@ -386,12 +396,11 @@ def build_deployment(config: SimConfig) -> Deployment:
         primary_pos=primary_pos,
         secondary_pos=secondary_pos,
         primary_pairs=primary_pairs,
-        pairing_state=g_pairs.bit_generator.state,
         primary_cells=primary_cells,
         secondary_cells=secondary_cells,
         primary_counts=np.bincount(primary_cells, minlength=p_grid.cell_count),
         secondary_counts=secondary_counts,
-        secondary_index_primary_grid=CellIndex(sec_on_primary, p_grid.cell_count),
+        secondary_index_primary_grid=CellIndex(secondary_cells, p_grid.cell_count, parent),
     )
 
 

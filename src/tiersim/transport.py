@@ -18,10 +18,14 @@ bundle's path is a slice of one flat array of secondary cells, and the
 bundles in flight and the delivery roster are arrays of bundle ids. The primary delay and roster wait are
 summed from the table's frame stamps when metrics are read.
 
-Secondary traffic is simulated for SAMPLE_PAIRS sampled pairs. Motion is
-exact per the cell schedule; rates are scaled by the fluid packet-size
-factor derived from the full-population path census, so the reported
-per-pair throughput reflects the load of the whole network, not the sample.
+Secondary node 2i sends to node 2i + 1. Positions are i.i.d. in node-id
+order, so that is a uniform random matching in law; the pairs are read in
+place from the per-node cells, neither drawn nor held, and with an odd node
+count the last node is unpaired. Secondary traffic is simulated for
+SAMPLE_PAIRS sampled pairs. Motion is exact per the cell schedule; rates are
+scaled by the fluid packet-size factor derived from the full-population path
+census, so the reported per-pair throughput reflects the load of the whole
+network, not the sample.
 Sampled packets are held as queue lengths, one per position of each pair's
 path: only a position's head packet hops, so a pair delivers in injection
 order, and a delivered packet's birth follows from how many the pair
@@ -49,8 +53,6 @@ from .deployment import (
     CellIndex,
     ConfigurationError,
     Deployment,
-    pair_sd,
-    resume,
 )
 from .routing import HandoverSearch, RelayAssignment, hv_path_cells, path_load_census
 from .scheduler import (
@@ -211,25 +213,24 @@ class TransportSim:
         return np.unique(penult[carried] * cell_count + dst_cells[carried], return_inverse=True)
 
     def _setup_secondary(self) -> None:
-        """The secondary pairs, drawn here and dropped after the census and
-        the sample take what they need of them."""
+        """The census over every secondary pair and the sampled pairs' paths.
+        Pair i is the nodes (2i, 2i + 1), so the pairs are read in place."""
         dep = self.dep
-        pairs = pair_sd(len(self.sec_pos), resume(dep.pairing_state))
-        self.n_pairs_s = len(pairs)
+        self.n_pairs_s = len(self.sec_pos) // 2
+        pair_cells = dep.secondary_cells[: 2 * self.n_pairs_s].reshape(-1, 2)
         # integer counts sum exactly, so chunks bound the census temporaries;
         # a pass also costs O(cells), and the cells are widened first, as
         # unsigned differences would wrap
         step = max(CHUNK, self.gs.cell_count)
-        census = sum(path_load_census(
-            dep.secondary_cells[pairs[i : i + step]].astype(np.int64), self.k_s)
-            for i in range(0, self.n_pairs_s, step))
+        census = sum(path_load_census(pair_cells[i : i + step].astype(np.int64), self.k_s)
+                     for i in range(0, self.n_pairs_s, step))
         self.census_max = int(census.max()) if self.n_pairs_s else 0
         self.packet_size_factor = 1.0 / self.census_max if self.census_max else float("nan")
 
         take = min(SAMPLE_PAIRS, self.n_pairs_s)
         rows = np.sort(self.rng.choice(self.n_pairs_s, size=take, replace=False))
-        self.s_src = pairs[rows, 0]
-        self.s_dst = pairs[rows, 1]
+        self.s_src = 2 * rows
+        self.s_dst = 2 * rows + 1
         paths = []
         for r in range(take):
             sc = int(dep.secondary_cells[self.s_src[r]])

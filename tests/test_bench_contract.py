@@ -5,9 +5,13 @@ up and reads a stepped sim's queues, and perfbench/bench.py assembles a run
 point as run_point does. A rename, a change of run assembly or of the state
 the traced step reads that would break a benchmark run fails here. The
 results digest of three short runs is pinned too, so any change to a
-simulated number fails here as well.
+simulated number fails here as well, and the primary-tier fields of the
+same runs have a pin of their own.
 """
 
+import functools
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -80,13 +84,44 @@ def test_traced_admit_info_counts_a_live_call(monkeypatch):
     assert set(out) <= ready - closed
 
 
+SHORT_RUNS = [(128.0, 1.0), (1024.0, 1.0), (1024.0, 8.0)]
+SHORT_RUN_IDS = ["n128", "n1024", "n1024_ap8"]
+
+
+@functools.lru_cache(maxsize=None)
+def short_run(n, ap_scale):
+    return run_point(SimConfig(n=n, ap_scale=ap_scale, frames=160, warmup_frames=32, seed=3))
+
+
 # A change that moves simulated numbers on purpose updates these pins and
 # says so in CHANGES.md. Recorded with numpy 2.4.6.
 @pytest.mark.parametrize("n, ap_scale, digest", [
-    (128.0, 1.0, "8864aef8ec948611"),
-    (1024.0, 1.0, "7e21eec57ec65dfa"),
-    (1024.0, 8.0, "70edd3e8ea4e25ad"),
-], ids=["n128", "n1024", "n1024_ap8"])
+    (*SHORT_RUNS[0], "fc8e34c66f29350e"),
+    (*SHORT_RUNS[1], "02078575c3715a83"),
+    (*SHORT_RUNS[2], "f213cbfa32ded82a"),
+], ids=SHORT_RUN_IDS)
 def test_results_digest_is_pinned(n, ap_scale, digest):
-    config = SimConfig(n=n, ap_scale=ap_scale, frames=160, warmup_frames=32, seed=3)
-    assert bench.results_digest([run_point(config)]) == digest
+    assert bench.results_digest([short_run(n, ap_scale)]) == digest
+
+
+PRIMARY_FIELDS = ("lambda_p", "T_p", "D_p", "min_sinr_primary", "min_sinr_delivery",
+                  "drop_rate", "pairs_p", "valid", "capture_fraction")
+PRIMARY_EXTRAS = ("delivered_carried", "delivered_direct", "pending_wait")
+
+
+def primary_digest(result) -> str:
+    """Hash of the primary-tier fields of one result, floats bit-exact."""
+    row = {k: getattr(result, k) for k in PRIMARY_FIELDS}
+    row.update((k, result.extras[k]) for k in PRIMARY_EXTRAS)
+    return hashlib.sha256(json.dumps(bench._canon(row), sort_keys=True).encode()).hexdigest()[:16]
+
+
+# The primary tier alone: a change to the secondary tier leaves these as they
+# are, while the digests above move with it.
+@pytest.mark.parametrize("n, ap_scale, digest", [
+    (*SHORT_RUNS[0], "fd017382451b1e53"),
+    (*SHORT_RUNS[1], "b45ec8e7004f6e94"),
+    (*SHORT_RUNS[2], "aab40ed1a67d76f8"),
+], ids=SHORT_RUN_IDS)
+def test_primary_tier_digest_is_pinned(n, ap_scale, digest):
+    assert primary_digest(short_run(n, ap_scale)) == digest

@@ -312,7 +312,7 @@ def test_build_deployment_deterministic():
     assert np.array_equal(a.primary_pos, b.primary_pos)
     assert np.array_equal(secondary_positions(a), secondary_positions(b))
     assert np.array_equal(a.primary_pairs, b.primary_pairs)
-    assert a.pairing_state == b.pairing_state
+    assert np.array_equal(a.secondary_cells, b.secondary_cells)
 
 
 def parent_cells(dep) -> np.ndarray:

@@ -210,6 +210,62 @@ def test_drop_rate_counts_only_the_primary_tier():
     assert sim.metrics()["drop_rate"] == 14 / 18
 
 
+# ======== secondary pairing ========
+
+
+# n = 64 at seed 0 draws 4081 secondary nodes, at seed 2 4046
+@pytest.mark.parametrize("seed, count", [(0, 4081), (2, 4046)], ids=["odd", "even"])
+def test_secondary_pairs_are_consecutive_ids(seed, count):
+    sim = make_sim(n=64.0, seed=seed, frames=8, warmup=0, sample_pairs=10**6)
+    assert len(sim.sec_pos) == count
+    assert sim.n_pairs_s == count // 2 == sim.n_sampled
+    # every pair sampled: pair i is (2i, 2i + 1), and an odd count's last node
+    # is in no pair
+    assert np.array_equal(sim.s_src, 2 * np.arange(count // 2))
+    assert np.array_equal(sim.s_dst, sim.s_src + 1)
+    assert sim.s_dst[-1] == count - 1 - count % 2
+
+
+def test_sampled_pair_ends_are_2r_and_2r_plus_1():
+    seed = 5
+    sim = make_sim(n=128.0, seed=seed, frames=8, warmup=0)
+    # the sample is the transport stream's first draw: rows r of n_pairs_s
+    transport_stream = deployment.rng_streams(seed)[3]
+    rows = np.sort(transport_stream.choice(sim.n_pairs_s, size=transport.SAMPLE_PAIRS,
+                                           replace=False))
+    assert np.array_equal(sim.s_src, 2 * rows)
+    assert np.array_equal(sim.s_dst, 2 * rows + 1)
+    cells = sim.dep.secondary_cells
+    last = sim.path_off + sim.plen - 1
+    assert np.array_equal(sim.path_flat[sim.path_off], cells[sim.s_src])
+    assert np.array_equal(sim.path_flat[last], cells[sim.s_dst])
+
+
+def test_census_counts_every_consecutive_pair(monkeypatch):
+    # an odd node count (n = 64, seed 0: 4081) and an even one (n = 128,
+    # seed 0: 16312), each counted in several passes
+    censuses = []
+
+    def recorded(*args):
+        out = census(*args)
+        censuses.append(out)
+        return out
+
+    census = transport.path_load_census
+    monkeypatch.setattr(transport, "path_load_census", recorded)
+    monkeypatch.setattr(transport, "CHUNK", 7)
+    for n, seed in ((64.0, 0), (128.0, 0)):
+        censuses.clear()
+        sim = make_sim(n=n, seed=seed, frames=8, warmup=0)
+        assert len(censuses) > 1
+        cells = sim.dep.secondary_cells.astype(np.int64)
+        want = np.zeros(sim.gs.cell_count, dtype=np.int64)
+        for i in range(len(sim.sec_pos) // 2):
+            want[hv_path_cells(int(cells[2 * i]), int(cells[2 * i + 1]), sim.k_s)] += 1
+        assert np.array_equal(sum(censuses), want)
+        assert sim.census_max == want.max()
+
+
 # ======== primary path set-up ========
 
 
