@@ -210,7 +210,7 @@ def pair_sd(count: int, seed) -> np.ndarray:
 # ======== deployment ========
 
 # peak RSS per secondary node, rounded up: the rise from n = 4096 to 8192
-# (143.0 to 687.8 MB) over the rise in m (16.78 M to 67.12 M) is 11.4 B, from
+# (143.1 to 695.2 MB) over the rise in m (16.78 M to 67.12 M) is 11.5 B, from
 # scripts/setup_probe.py at seed 0. The sizes the check can reject hold their
 # cells as uint32; with uint16 cells (k_s <= 256) the rise is about 6 B
 SECONDARY_NODE_BYTES = 12
@@ -276,26 +276,23 @@ class PositionStream:
 class CellIndex:
     """Node ids (uint32) grouped by cell, in node-id order within each cell.
 
-    Node i's cell is keys[i], or table[keys[i]] when a table is given: it is
-    looked up a chunk at a time, so no per-node array of cells forms.
+    counts holds the nodes per cell, which the caller already has. Node i's
+    cell is keys[i], or table[keys[i]] when a table is given: it is looked up
+    a chunk at a time, so no per-node array of cells forms.
     """
 
-    def __init__(self, keys: np.ndarray, cell_count: int, table: np.ndarray | None = None):
-        starts = range(0, len(keys), CHUNK)
-
-        def cells(i):
-            chunk = keys[i : i + CHUNK]
-            return chunk if table is None else table[chunk]
-
-        per_chunk = [np.bincount(cells(i), minlength=cell_count) for i in starts]
-        self.counts = sum(per_chunk, np.zeros(cell_count, dtype=np.int64))
-        self.starts = np.concatenate([[0], np.cumsum(self.counts)])
+    def __init__(self, keys: np.ndarray, counts: np.ndarray, table: np.ndarray | None = None):
+        self.counts = counts
+        self.starts = np.concatenate([[0], np.cumsum(counts)])
         # np.argsort(cells, kind="stable") placed a chunk at a time: a chunk's
         # members of a cell go after those of the chunks before it
         self.order = np.empty(len(keys), dtype=np.uint32)
         cursor = self.starts[:-1].copy()
-        for i, here in zip(starts, per_chunk):
-            chunk = cells(i)
+        for i in range(0, len(keys), CHUNK):
+            chunk = keys[i : i + CHUNK]
+            if table is not None:
+                chunk = table[chunk]
+            here = np.bincount(chunk, minlength=len(counts))
             by = np.argsort(chunk, kind="stable")  # numpy radix-sorts uint16 keys
             shift = cursor - (np.cumsum(here) - here)
             self.order[shift[chunk[by]] + np.arange(len(by))] = by + i
@@ -388,6 +385,9 @@ def build_deployment(config: SimConfig) -> Deployment:
     # ID_LIMIT, so the member order is radix-sorted)
     parent = p_grid.cell_of(
         np.column_stack(s_grid.center(np.arange(s_grid.cell_count)))).astype(np.uint16)
+    # secondary nodes per primary cell; float sums are exact below 2**53
+    on_primary = np.bincount(parent, weights=secondary_counts,
+                             minlength=p_grid.cell_count).astype(np.int64)
 
     return Deployment(
         config=config,
@@ -400,7 +400,7 @@ def build_deployment(config: SimConfig) -> Deployment:
         secondary_cells=secondary_cells,
         primary_counts=np.bincount(primary_cells, minlength=p_grid.cell_count),
         secondary_counts=secondary_counts,
-        secondary_index_primary_grid=CellIndex(secondary_cells, p_grid.cell_count, parent),
+        secondary_index_primary_grid=CellIndex(secondary_cells, on_primary, parent),
     )
 
 

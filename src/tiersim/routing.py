@@ -192,35 +192,33 @@ class HandoverSearch:
 def path_load_census(pairs_cells: np.ndarray, k: int) -> np.ndarray:
     """How many S-D paths include each cell, as a flat array.
 
-    pairs_cells is an (P, 2) array of (source cell, destination cell); the
-    count covers every cell of each HV path, endpoints included. Difference
-    arrays (integer bincounts over flat cell indices) make it O(P + k^2).
+    pairs_cells is a (P, 2) array of (source cell, destination cell), of any
+    integer type; the count covers every cell of each HV path, endpoints
+    included. Each path contributes its horizontal run [sx..dx] at row sy and
+    its vertical run at column dx excluding row sy (counted once at the turn),
+    as the ends of runs in two difference arrays, integrated once at the end.
 
-    Each path contributes its horizontal run [sx..dx] at row sy and its
-    vertical run at column dx excluding row sy (counted once at the turn).
+    The pairs are read in passes of max(CHUNK, k^2), each widened to int64
+    (unsigned differences would wrap), so the temporaries stay bounded. A
+    pass costs O(its pairs + k^2) for its bincounts, so the census costs
+    O(P + k^2 * passes).
     """
-    counts = np.zeros((k, k), dtype=np.int64)
-    if len(pairs_cells) == 0:
-        return counts.ravel()
-    sx, sy = np.divmod(pairs_cells[:, 0], k)
-    dx, dy = np.divmod(pairs_cells[:, 1], k)
-
-    # horizontal run: rows sy, columns min(sx,dx)..max(sx,dx)
-    xlo = np.minimum(sx, dx)
-    xhi = np.maximum(sx, dx)
     size = (k + 1) * k
-    diff_h = (np.bincount(xlo * k + sy, minlength=size)
-              - np.bincount((xhi + 1) * k + sy, minlength=size))
-    counts += np.cumsum(diff_h.reshape(k + 1, k), axis=0)[:k]
-
-    # vertical run: column dx, rows between sy (exclusive) and dy (inclusive)
-    vert = dy != sy
-    if vert.any():
-        vy_lo = np.where(dy > sy, sy + 1, dy)[vert]
-        vy_hi = np.where(dy > sy, dy, sy - 1)[vert]
+    diff_h = np.zeros(size, dtype=np.int64)
+    diff_v = np.zeros(size, dtype=np.int64)
+    step = max(CHUNK, k * k)
+    for i in range(0, len(pairs_cells), step):
+        chunk = pairs_cells[i : i + step].astype(np.int64)
+        sx, sy = np.divmod(chunk[:, 0], k)
+        dx, dy = np.divmod(chunk[:, 1], k)
+        # horizontal run: row sy, columns min(sx,dx)..max(sx,dx)
+        diff_h += np.bincount(np.minimum(sx, dx) * k + sy, minlength=size)
+        diff_h -= np.bincount((np.maximum(sx, dx) + 1) * k + sy, minlength=size)
+        # vertical run: column dx, rows between sy (exclusive) and dy (inclusive)
+        vert = dy != sy
         col = dx[vert] * (k + 1)
-        diff_v = (np.bincount(col + vy_lo, minlength=size)
-                  - np.bincount(col + vy_hi + 1, minlength=size))
-        counts += np.cumsum(diff_v.reshape(k, k + 1), axis=1)[:, :k]
-
+        diff_v += np.bincount(col + np.where(dy > sy, sy + 1, dy)[vert], minlength=size)
+        diff_v -= np.bincount(col + np.where(dy > sy, dy, sy - 1)[vert] + 1, minlength=size)
+    counts = np.cumsum(diff_h.reshape(k + 1, k), axis=0)[:k]
+    counts += np.cumsum(diff_v.reshape(k, k + 1), axis=1)[:, :k]
     return counts.ravel()

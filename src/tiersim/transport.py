@@ -47,7 +47,6 @@ import numpy as np
 
 from . import phy
 from .deployment import (
-    CHUNK,
     PRIMARY,
     SECONDARY,
     CellIndex,
@@ -208,23 +207,19 @@ class TransportSim:
         penult = np.where(step_y != 0, dst_cells - step_y, dst_cells - step_x * k)
         self.pair_relay_cell = np.where(carried, relay, -1)
         # pairs grouped by their source's cell
-        self.sources = CellIndex(src_cells, cell_count)
+        self.sources = CellIndex(src_cells, np.bincount(src_cells, minlength=cell_count))
         # the handover node depends only on (penultimate cell, sink cell)
         return np.unique(penult[carried] * cell_count + dst_cells[carried], return_inverse=True)
 
     def _setup_secondary(self) -> None:
         """The census over every secondary pair and the sampled pairs' paths.
-        Pair i is the nodes (2i, 2i + 1), so the pairs are read in place."""
+        Pair i is the nodes (2i, 2i + 1), so the census reads the pairs' cells
+        in place, in one call that makes its own passes."""
         dep = self.dep
         self.n_pairs_s = len(self.sec_pos) // 2
-        pair_cells = dep.secondary_cells[: 2 * self.n_pairs_s].reshape(-1, 2)
-        # integer counts sum exactly, so chunks bound the census temporaries;
-        # a pass also costs O(cells), and the cells are widened first, as
-        # unsigned differences would wrap
-        step = max(CHUNK, self.gs.cell_count)
-        census = sum(path_load_census(pair_cells[i : i + step].astype(np.int64), self.k_s)
-                     for i in range(0, self.n_pairs_s, step))
-        self.census_max = int(census.max()) if self.n_pairs_s else 0
+        census = path_load_census(
+            dep.secondary_cells[: 2 * self.n_pairs_s].reshape(-1, 2), self.k_s)
+        self.census_max = int(census.max())
         self.packet_size_factor = 1.0 / self.census_max if self.census_max else float("nan")
 
         take = min(SAMPLE_PAIRS, self.n_pairs_s)

@@ -328,9 +328,12 @@ def test_deployment_indexes_partition_nodes():
     occ = cell_occupancy(dep)
     assert occ.primary_per_primary_cell.sum() == len(dep.primary_pos)
     assert dep.secondary_counts.sum() == len(dep.secondary_pos)
-    assert dep.secondary_index_primary_grid.counts.sum() == len(dep.secondary_pos)
-    # membership lists agree with each node's secondary cell's parent
+    # the totals build_deployment hands CellIndex, summed through the parent table
     on_primary = parent_cells(dep)
+    counts = dep.secondary_index_primary_grid.counts
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.bincount(on_primary, minlength=dep.primary_grid.cell_count))
+    # membership lists agree with each node's secondary cell's parent
     for cell in range(dep.primary_grid.cell_count):
         members = dep.secondary_index_primary_grid.members(cell)
         assert (on_primary[members] == cell).all()
@@ -350,14 +353,16 @@ CELLS_ABOVE = st.lists(st.builds(lambda hi, lo: hi << 16 | lo, st.integers(0, 15
 def test_cell_order_equals_stable_argsort(case):
     cells, cell_count = case
     cells = np.array(cells, dtype=np.int64)
-    want = np.argsort(cells, kind="stable")
+    # the cells as keys into a many-to-one uint16 table, as the parent table is
+    table = (np.arange(cell_count) // 3 % 17).astype(np.uint16)
     # counting placement a chunk at a time, with one chunk and with many
     for chunk in (deployment.CHUNK, 7):
         with mock.patch.object(deployment, "CHUNK", chunk):
-            index = CellIndex(cells, cell_count)
-        assert index.order.dtype == np.uint32
-        assert np.array_equal(index.order, want)
-        assert np.array_equal(index.counts, np.bincount(cells, minlength=cell_count))
+            index = CellIndex(cells, np.bincount(cells, minlength=cell_count))
+            via = CellIndex(cells, np.bincount(table[cells], minlength=17), table)
+        assert index.order.dtype == via.order.dtype == np.uint32
+        assert np.array_equal(index.order, np.argsort(cells, kind="stable"))
+        assert np.array_equal(via.order, np.argsort(table[cells], kind="stable"))
 
 
 def test_build_deployment_fails_early_beyond_physical_memory(monkeypatch):

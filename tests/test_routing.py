@@ -205,6 +205,25 @@ def test_census_empty():
     assert path_load_census(np.empty((0, 2), dtype=np.int64), 8).sum() == 0
 
 
+@pytest.mark.parametrize("k, count", [(10, 257), (256, (1 << 16) + 301)])
+def test_census_equal_over_integer_types(monkeypatch, k, count):
+    # passes of max(CHUNK, k**2) pairs, the last one short. Unwidened, a
+    # destination cell below its source cell could wrap an unsigned type, and
+    # at k = 256 a uint16 flat index past the last row does
+    monkeypatch.setattr(routing, "CHUNK", 7)
+    rng = np.random.default_rng(3)
+    pairs = rng.integers(0, k * k, size=(count, 2))
+    assert (pairs[:, 1] < pairs[:, 0]).any()
+    assert count > k * k and count % (k * k)
+    brute = np.zeros(k * k, dtype=np.int64)
+    for s, d in pairs:
+        brute[hv_path_cells(int(s), int(d), k)] += 1
+    for dtype in (np.uint16, np.uint32, np.int64):
+        assert np.array_equal(path_load_census(pairs.astype(dtype), k), brute)
+        empty = path_load_census(np.empty((0, 2), dtype=dtype), k)
+        assert empty.shape == (k * k,) and not empty.any()
+
+
 def test_central_load_within_spread_of_mean():
     # uniform random pairs load the central cells within 3x of the grid mean
     rng = np.random.default_rng(2)

@@ -14,7 +14,7 @@ from queue_reference import use_reference_queue
 from region_reference import phase_rects, place_collection_regions as rect_admission, rect_blocked
 from sent_cells import watch_sent_cells
 
-from tiersim import deployment, transport
+from tiersim import deployment, routing, transport
 from tiersim.deployment import ConfigurationError, SimConfig
 from tiersim.harness import prepare, trace_packet
 from tiersim.phy import RateReport
@@ -243,7 +243,7 @@ def test_sampled_pair_ends_are_2r_and_2r_plus_1():
 
 def test_census_counts_every_consecutive_pair(monkeypatch):
     # an odd node count (n = 64, seed 0: 4081) and an even one (n = 128,
-    # seed 0: 16312), each counted in several passes
+    # seed 0: 16312), each counted in one call that makes several passes
     censuses = []
 
     def recorded(*args):
@@ -253,16 +253,18 @@ def test_census_counts_every_consecutive_pair(monkeypatch):
 
     census = transport.path_load_census
     monkeypatch.setattr(transport, "path_load_census", recorded)
-    monkeypatch.setattr(transport, "CHUNK", 7)
+    monkeypatch.setattr(routing, "CHUNK", 7)
     for n, seed in ((64.0, 0), (128.0, 0)):
         censuses.clear()
         sim = make_sim(n=n, seed=seed, frames=8, warmup=0)
-        assert len(censuses) > 1
+        assert len(censuses) == 1
+        # the census's pass size is max(CHUNK, k_s**2) pairs
+        assert max(routing.CHUNK, sim.gs.cell_count) < sim.n_pairs_s
         cells = sim.dep.secondary_cells.astype(np.int64)
         want = np.zeros(sim.gs.cell_count, dtype=np.int64)
         for i in range(len(sim.sec_pos) // 2):
             want[hv_path_cells(int(cells[2 * i]), int(cells[2 * i + 1]), sim.k_s)] += 1
-        assert np.array_equal(sum(censuses), want)
+        assert np.array_equal(censuses[0], want)
         assert sim.census_max == want.max()
 
 
