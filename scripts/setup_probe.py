@@ -6,7 +6,8 @@ Builds one run with harness.prepare (deployment, relays, TransportSim),
 steps it for --frames frames, and prints one JSON line: setup_s (host
 seconds of prepare), peak_rss_mb (ru_maxrss of this process when the frames
 are done), the peak so far after each set-up layer (peak_rss_mb_after:
-build_deployment, select_relays, TransportSim), the node counts, the bytes
+build_deployment, select_relays, TransportSim), the node counts, the fewest
+secondary nodes in a secondary cell (build_deployment rejects 0), the bytes
 per secondary node that the deployment holds for the whole run, and a
 digest of the set-up state (primary pair paths and int-dests, relay tiers
 and relays, the capture fraction, primary cell counts, secondary cell
@@ -87,6 +88,7 @@ def main() -> None:
         "n": args.n, "seed": args.seed, "frames": args.frames,
         "k_p": sim.k_p, "k_s": sim.k_s,
         "primaries": len(sim.pri_pos), "secondaries": len(sim.sec_pos),
+        "min_secondary_per_cell": int(dep.secondary_counts.min()),
         "setup_s": round(setup_s, 4), "peak_rss_mb": peak_mb(),
         "peak_rss_mb_after": layers,
         "held_bytes_per_secondary": round(held / len(sim.sec_pos), 2),

@@ -51,7 +51,6 @@ class SimConfig:
     n: float
     beta: float = 2.0
     alpha: float = 4.0
-    power_const: float = 1.0
     noise: float = 1.0
     ap_scale: float = 1.0
     frames: int = 512
@@ -65,8 +64,6 @@ class SimConfig:
             raise ConfigurationError(f"beta must be >= 2, got {self.beta}")
         if not self.alpha > 2.0:
             raise ConfigurationError(f"alpha must exceed 2, got {self.alpha}")
-        if not self.power_const > 0.0:
-            raise ConfigurationError("power_const must be positive")
         if self.noise < 0.0:
             raise ConfigurationError("noise must be nonnegative")
         if not self.ap_scale >= 1.0:
@@ -334,7 +331,7 @@ class OccupancyReport:
 
     primary_per_primary_cell: np.ndarray
     any_empty_primary_cell: bool
-    any_empty_secondary_cell: bool
+    any_empty_secondary_cell: bool  # always False: build_deployment rejects one
     any_cell_below_relay_count: bool
 
 
@@ -351,7 +348,9 @@ def build_deployment(config: SimConfig) -> Deployment:
     """Sample both tiers, build both grids, and pair the primary tier.
 
     Deterministic in config.seed: positions come from the deployment stream
-    and pairs from the pairing stream of rng_streams.
+    and pairs from the pairing stream of rng_streams. Raises
+    ConfigurationError when a secondary cell holds no node: the protocol
+    needs a relay in every secondary cell.
     """
     g_deploy, g_pairs, _, _ = rng_streams(config.seed)
 
@@ -380,6 +379,12 @@ def build_deployment(config: SimConfig) -> Deployment:
         cells = s_grid.cell_of(pos)
         secondary_cells[i : i + len(pos)] = cells
         secondary_counts += np.bincount(cells, minlength=s_grid.cell_count)
+    empty = int((secondary_counts == 0).sum())
+    if empty:
+        raise ConfigurationError(
+            f"{empty} of {s_grid.cell_count} secondary cells hold no node "
+            f"(mean {len(secondary_pos) / s_grid.cell_count:.3g} per cell); "
+            "every secondary cell needs a relay")
     # a secondary node's primary cell is its secondary cell's parent, the
     # primary cell holding that cell's centre (k_p**2 fits uint16 below
     # ID_LIMIT, so the member order is radix-sorted)

@@ -110,7 +110,6 @@ class SweepPlan:
     ap_scale_values: tuple = (1.0,)
     beta: float = 2.0
     alpha: float = 4.0
-    power_const: float = 1.0
     noise: float = 1.0
     seeds: int = 5
     seed0: int = 0
@@ -133,8 +132,7 @@ def sweep_configs(plan: SweepPlan) -> list[SimConfig]:
         for scale in plan.ap_scale_values:
             for s in range(plan.seeds):
                 out.append(SimConfig(
-                    n=n, beta=plan.beta, alpha=plan.alpha,
-                    power_const=plan.power_const, noise=plan.noise,
+                    n=n, beta=plan.beta, alpha=plan.alpha, noise=plan.noise,
                     ap_scale=scale, frames=plan.frames,
                     warmup_frames=plan.warmup, seed=plan.seed0 + s))
     return out

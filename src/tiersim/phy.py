@@ -3,8 +3,8 @@
 Packet motion never depends on these numbers: the transport layer moves
 packets per schedule, and the audit runs alongside to verify that every
 scheduled reception would sustain a positive constant rate. Power follows
-the cell-area rule P * a**(alpha/2), which makes the received power across
-one cell diagonal independent of the cell size. received_power is the one
+the cell-area rule a**(alpha/2), which makes the received power across one
+cell diagonal independent of the cell size. received_power is the one
 place that evaluates P * d**(-alpha); interference_at and sinr_at sum and
 divide its blocks, and the broadcast audit slices one block per tick group.
 """
@@ -25,13 +25,12 @@ __all__ = [
 ]
 
 
-def tx_power(cell_area: float, power_const: float, alpha: float) -> float:
-    """Transmit power P * cell_area**(alpha/2) for a cell-scaled transmitter."""
+def tx_power(cell_area: float, alpha: float) -> float:
+    """Transmit power cell_area**(alpha/2) for a cell-scaled transmitter; the
+    power constant is 1, since SINR reads power only relative to noise."""
     if not 0 < cell_area <= 1:
         raise ValueError(f"cell_area must lie in (0, 1], got {cell_area}")
-    if power_const <= 0:
-        raise ValueError("power_const must be positive")
-    return power_const * cell_area ** (alpha / 2.0)
+    return cell_area ** (alpha / 2.0)
 
 
 # ======== SINR ========

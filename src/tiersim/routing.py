@@ -7,6 +7,9 @@ the whole run. A primary cell keeps only the tier that wins its relay draw,
 for the capture check; primary packets travel on relays drawn per broadcast.
 A secondary node belongs to the primary cell that holds its secondary cell,
 so a handover node is sought only in the penultimate cell's secondary cells.
+build_deployment rejects a deployment with an empty secondary cell, so every
+cell of both grids holds a secondary node: every secondary cell has a relay
+and every penultimate cell a handover node.
 """
 
 from __future__ import annotations
@@ -51,10 +54,9 @@ class RelayAssignment:
     On the primary grid the relay is drawn uniformly over all nodes present
     in the cell, both tiers: the dense secondary tier wins nearly always,
     which is what lets it capture primary traffic. Only the winner's tier is
-    kept: primary_relay_is_secondary (False for an empty cell), and
-    secondary_capture_fraction, its mean over the occupied primary cells. On
-    the secondary grid only secondary nodes are candidates; secondary_relay
-    holds the node ids, -1 where a cell is empty.
+    kept: primary_relay_is_secondary, and secondary_capture_fraction, its
+    mean over the primary cells. On the secondary grid only secondary nodes
+    are candidates; secondary_relay holds the node ids.
     """
 
     primary_relay_is_secondary: np.ndarray
@@ -63,8 +65,8 @@ class RelayAssignment:
 
 
 def _pick_by_rank(cells: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Uniform member choice per cell, -1 for an empty cell: the member of rank
-    floor(u * count) in node-id order, found in one chunked pass over cells."""
+    """Uniform member choice per cell: the member of rank floor(u * count) in
+    node-id order, found in one chunked pass over cells."""
     rank = (u * counts).astype(np.int64)
     chosen = np.full(len(counts), -1, dtype=np.int64)
     seen = np.zeros(len(counts), dtype=np.int64)  # members in earlier chunks
@@ -96,10 +98,8 @@ def select_relays(deployment: Deployment, seed) -> RelayAssignment:
     # every secondary relay, and so every SINR floor, the same at each seed
     u_tier = rng.random(kp2)
     rng.random(kp2)
-    is_sec = np.zeros(kp2, dtype=bool)
-    occupied = total > 0
-    is_sec[occupied] = u_tier[occupied] < m_counts[occupied] / total[occupied]
-    capture = float(is_sec[occupied].mean()) if occupied.any() else 0.0
+    is_sec = u_tier < m_counts / total
+    capture = float(is_sec.mean())
 
     secondary_relay = _pick_by_rank(deployment.secondary_cells, deployment.secondary_counts,
                                     rng.random(ks2))
@@ -116,7 +116,7 @@ def select_relays(deployment: Deployment, seed) -> RelayAssignment:
 class HandoverSearch:
     """The handover node of each (penultimate cell, sink cell) key on the
     primary grid: the penultimate cell's member nearest the sink cell's
-    centre, the first in node-id order on a tie, -1 for an empty cell.
+    centre, the first in node-id order on a tie.
 
     update() takes chunks of secondary positions in node-id order and keeps
     a running minimum: a later node replaces the nearest so far only when
@@ -138,7 +138,7 @@ class HandoverSearch:
         self.node_pos = np.full((len(keys), 2), np.nan)
         self.narrow()
         # the nearest of the first few nodes leaves few cells to look at
-        self.update(*next(deployment.secondary_pos.chunks(self.PILOT), (0, np.empty((0, 2)))))
+        self.update(*next(deployment.secondary_pos.chunks(self.PILOT)))
         self.narrow()
 
     def narrow(self) -> None:
@@ -156,7 +156,6 @@ class HandoverSearch:
         cell = s[0][:, :, None] * k_s + s[1][:, None, :]
         near = gap[0][:, :, None] ** 2 + gap[1][:, None, :] ** 2
         look = near <= self.best[:, None, None] * (1 + self.MARGIN)
-        look[look] = self.dep.secondary_counts[cell[look]] > 0
         cell = cell[look]
         self.count = np.bincount(cell, minlength=k_s * k_s)
         self.looked = self.count > 0  # a bool table gathers fastest

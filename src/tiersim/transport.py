@@ -10,13 +10,17 @@ Primary packets do not hop between primary nodes. An active source cell
 broadcasts one packet per activation; the packet is split into N segments
 picked up by relays in the next path cell, carried across the secondary grid
 as one atomic bundle, and handed to the destination inside an admitted
-collection region. Sources are saturated: an occupied cell transmits every
-time it is active, sources within a cell taking turns. A cell is active once
-every PHASES frames, so at frame t its turn is t // PHASES modulo its source
-count. Bundles are rows of one table indexed by bundle id in launch order, a
-bundle's path is a slice of one flat array of secondary cells, and the
-bundles in flight and the delivery roster are arrays of bundle ids. The primary delay and roster wait are
-summed from the table's frame stamps when metrics are read.
+collection region. The deployment holds a node in every secondary cell, so
+every carried pair has a handover node and every secondary path runs over
+all cells of its HV path; a packet is dropped only when its relay cell holds
+fewer than N secondary nodes. Sources are saturated: an occupied cell
+transmits every time it is active, sources within a cell taking turns. A cell
+is active once every PHASES frames, so at frame t its turn is t // PHASES
+modulo its source count. Bundles are rows of one table indexed by bundle id
+in launch order, a bundle's path is a slice of one flat array of secondary
+cells, and the bundles in flight and the delivery roster are arrays of bundle
+ids. The primary delay and roster wait are summed from the table's frame
+stamps when metrics are read.
 
 Secondary node 2i sends to node 2i + 1. Positions are i.i.d. in node-id
 order, so that is a uniform random matching in law; the pairs are read in
@@ -154,8 +158,8 @@ class TransportSim:
         self.sec_pos = deployment.secondary_pos
         self.pri_pos = deployment.primary_pos
         self.n_relays = relay_count(self.cfg.m)
-        self.p_p = phy.tx_power(self.gp.cell_area, self.cfg.power_const, self.cfg.alpha)
-        self.p_s = phy.tx_power(self.gs.cell_area, self.cfg.power_const, self.cfg.alpha)
+        self.p_p = phy.tx_power(self.gp.cell_area, self.cfg.alpha)
+        self.p_s = phy.tx_power(self.gs.cell_area, self.cfg.alpha)
 
         handover_keys = self._setup_primary()
         self._setup_secondary()
@@ -228,8 +232,8 @@ class TransportSim:
         self.s_dst = 2 * rows + 1
         paths = []
         for r in range(take):
-            sc = int(dep.secondary_cells[self.s_src[r]])
-            path = self._relay_path(sc, int(dep.secondary_cells[self.s_dst[r]]))
+            path = hv_path_cells(int(dep.secondary_cells[self.s_src[r]]),
+                                 int(dep.secondary_cells[self.s_dst[r]]), self.k_s)
             # a same-cell pair still takes one in-cell hop
             paths.append(np.repeat(path, 2) if len(path) == 1 else path)
         self.plen = np.array([len(p) for p in paths], dtype=np.int64)
@@ -254,14 +258,12 @@ class TransportSim:
         order: it finds each handover key's node (HandoverSearch) and keeps
         every position a plain frame reads, the int-dests', the relays' and
         the sampled pairs' ends."""
-        # relay-holding cells sorted by tick (cell order within a tick): the
-        # audit's candidate transmitters
-        by_tick = np.argsort(self.sigma_s, kind="stable")
-        self.relay_cells = by_tick[self.sec_relay[by_tick] >= 0]
+        # cells sorted by tick (cell order within a tick): the audit's
+        # candidate transmitters, one relay each
+        self.relay_cells = np.argsort(self.sigma_s, kind="stable")
         self.relay_tick_bounds = np.searchsorted(
             self.sigma_s[self.relay_cells], np.arange(TICKS + 1))
-        self.relay_row = np.full(self.gs.cell_count, -1, dtype=np.int64)
-        self.relay_row[self.relay_cells] = np.arange(len(self.relay_cells))
+        self.relay_row = np.argsort(self.relay_cells)
         wanted = np.concatenate([self.sec_relay[self.relay_cells], self.s_src, self.s_dst])
         by_id = np.argsort(wanted, kind="stable")
         ids = wanted[by_id]
@@ -273,15 +275,13 @@ class TransportSim:
             held[by_id[lo:hi]] = pos[ids[lo:hi] - i]
             search.update(i, pos)
 
-        # a pair without a handover node stays unservable: its packets are drops
         carried = ~self.pair_direct
         self.pair_int_dest = np.full(self.n_pairs_p, -1, dtype=np.int64)
         self.pair_int_dest[carried] = search.node[key_of]
         self.pair_int_dest_pos = np.full((self.n_pairs_p, 2), np.nan)
         self.pair_int_dest_pos[carried] = search.node_pos[key_of]
-        self.pair_int_dest_cell = np.where(
-            self.pair_int_dest >= 0,
-            self.dep.secondary_cells[self.pair_int_dest].astype(np.int64), -1)
+        self.pair_int_dest_cell = np.full(self.n_pairs_p, -1, dtype=np.int64)
+        self.pair_int_dest_cell[carried] = self.dep.secondary_cells[search.node[key_of]]
         self.relay_tx_pos, self.s_src_pos, self.s_dst_pos = np.split(
             held, np.cumsum([len(self.relay_cells), self.n_sampled]))
 
@@ -298,13 +298,6 @@ class TransportSim:
             self.phase_cells.append(cells)
             self.blocked[phase] = preservation_regions(cells, self.k_p, refine)
             self.sink_open[phase] = clear_sinks(cells, self.k_p, refine)
-
-    def _relay_path(self, src_cell: int, dst_cell: int) -> np.ndarray:
-        """HV path on the secondary grid without interior cells that hold no relay."""
-        raw = hv_path_cells(src_cell, dst_cell, self.k_s)
-        keep = self.sec_relay[raw] >= 0
-        keep[0] = keep[-1] = True
-        return raw[keep]
 
     # ======== per-frame mechanics ========
 
@@ -332,9 +325,6 @@ class TransportSim:
                         len(self.records) + 1, PRIMARY, 3 * t, 3 * t + 2,
                         int(self.pair_path_len[pair]), 0))
                 continue
-            if self.pair_int_dest[pair] < 0:
-                self.dropped_p += 1
-                continue
             members = self.dep.secondary_index_primary_grid.members(
                 int(self.pair_relay_cell[pair]))
             if len(members) < self.n_relays:
@@ -344,7 +334,7 @@ class TransportSim:
             lead = int(ids[self.rng.integers(self.n_relays)])
             lead_cell = int(self.dep.secondary_cells[lead])
             self._launch(t, pair, lead,
-                         self._relay_path(lead_cell, int(self.pair_int_dest_cell[pair])))
+                         hv_path_cells(lead_cell, int(self.pair_int_dest_cell[pair]), self.k_s))
             sent.append(pair)
             relays.append(ids)
         return np.array(sent, dtype=np.int64), relays
@@ -575,7 +565,7 @@ class TransportSim:
         tick = self.sigma_s[cells]
         start = bounds[tick]
         row = self.relay_row[cells]
-        own = live[row] & (row >= 0)
+        own = live[row]
         n_live = bounds[tick + 1] - start - own
         # offset of the hop's own cell inside its tick's run; past the run if absent
         skip = np.where(own, np.searchsorted(live_rows, row) - start, n_live)

@@ -19,8 +19,9 @@ BORDER_NODE = 5000
 
 
 def border_deployment(monkeypatch):
-    """The planted n = 128 deployment; positions regenerated while
-    monkeypatch is active carry the planted node too."""
+    """The planted n = 256 deployment; positions regenerated while
+    monkeypatch is active carry the planted node too. At n = 128 its
+    2500 secondary cells would hold about 6.6 nodes each, and some none."""
     monkeypatch.setattr(deployment, "primary_cell_area", lambda n, ap=1.0: (0.04, CellGrid(5)))
     monkeypatch.setattr(deployment, "secondary_cell_area", lambda n, b, a: (4e-4, CellGrid(50)))
     regenerate = deployment.PositionStream.chunks
@@ -32,4 +33,4 @@ def border_deployment(monkeypatch):
             yield i, pos
 
     monkeypatch.setattr(deployment.PositionStream, "chunks", planted)
-    return build_deployment(SimConfig(n=128, seed=0))
+    return build_deployment(SimConfig(n=256, seed=0))

@@ -24,6 +24,7 @@ from functools import partial
 import numpy as np
 
 from tiersim.deployment import PRIMARY
+from tiersim.routing import hv_path_cells
 from tiersim.scheduler import PHASES, TICKS
 from tiersim.transport import NO_HOPS, PacketRecord, TransportSim
 
@@ -103,9 +104,6 @@ def reference_broadcast(sim: TransportSim, sec_pos: np.ndarray, t: int) -> tuple
                     len(sim.records) + 1, PRIMARY, 3 * t, 3 * t + 2,
                     int(sim.pair_path_len[pair]), 0))
             continue
-        if sim.pair_int_dest[pair] < 0:
-            sim.dropped_p += 1
-            continue
         members = sim.dep.secondary_index_primary_grid.members(
             int(sim.pair_relay_cell[pair]))
         if len(members) < sim.n_relays:
@@ -114,7 +112,7 @@ def reference_broadcast(sim: TransportSim, sec_pos: np.ndarray, t: int) -> tuple
         ids = sim.rng.choice(members, size=sim.n_relays, replace=False)
         lead = int(ids[sim.rng.integers(sim.n_relays)])
         lead_cell = int(sim.dep.secondary_cells[lead])
-        path = sim._relay_path(lead_cell, int(sim.pair_int_dest_cell[pair]))
+        path = hv_path_cells(lead_cell, int(sim.pair_int_dest_cell[pair]), sim.k_s)
         bundle = SegmentBundle(
             pair=pair, path=path, segments=sim.n_relays, born=t,
             lead_pos=sec_pos[lead].copy(),

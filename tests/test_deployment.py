@@ -14,6 +14,7 @@ from int_dest_reference import reference_primary_setup
 from secondary_positions import secondary_positions
 
 from tiersim import deployment
+from tiersim.cli import main
 from tiersim.deployment import (
     SECONDARY_NODE_BYTES,
     CellGrid,
@@ -42,8 +43,8 @@ def test_config_rejects_bad_values():
         SimConfig(n=100, beta=1.5)
     with pytest.raises(ConfigurationError):
         SimConfig(n=100, alpha=2.0)
-    with pytest.raises(ConfigurationError):
-        SimConfig(n=100, power_const=0.0)
+    with pytest.raises(TypeError):  # power and noise enter SINR only as a ratio
+        SimConfig(n=100, power_const=1.0)
     with pytest.raises(ConfigurationError):
         SimConfig(n=100, noise=-0.1)
     with pytest.raises(ConfigurationError):
@@ -388,6 +389,28 @@ def test_build_deployment_rejects_ids_beyond_int32(monkeypatch):
     monkeypatch.setattr(deployment, "SECONDARY_NODE_BYTES", 0)
     with pytest.raises(ConfigurationError, match="int32"):
         build_deployment(SimConfig(n=2.0**16))
+
+
+def test_build_deployment_rejects_an_empty_secondary_cell(monkeypatch, tmp_path):
+    # every node of secondary cell 0 moves one secondary column over, so
+    # exactly one cell is empty; the CLI reports the rejection as exit code 2
+    cfg = SimConfig(n=64, seed=0)
+    _, p_grid = primary_cell_area(cfg.n)
+    _, s_grid = secondary_cell_area(cfg.n, cfg.beta, p_grid.cell_area)
+    regenerate = PositionStream.chunks
+
+    def emptied(stream, *args):
+        for i, pos in regenerate(stream, *args):
+            inside = s_grid.cell_of(pos) == 0
+            pos[inside, 0] += 1 / s_grid.side_count
+            yield i, pos
+
+    monkeypatch.setattr(PositionStream, "chunks", emptied)
+    with pytest.raises(ConfigurationError) as err:
+        build_deployment(cfg)
+    assert f"1 of {s_grid.cell_count} secondary cells hold no node" in str(err.value)
+    assert main(["--n", "64", "--seeds", "1", "--frames", "32", "--warmup", "8",
+                 "--out", str(tmp_path / "r.csv")]) == 2
 
 
 def held_arrays(obj):

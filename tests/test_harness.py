@@ -363,7 +363,7 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
 
 def test_cli_rejects_unknown_config_keys(tmp_path):
     cfg = tmp_path / "plan.json"
-    for unknown in ({"bogus": 1}, {"warmup_frames": 16}):
+    for unknown in ({"bogus": 1}, {"warmup_frames": 16}, {"power_const": 1.0}):
         cfg.write_text(json.dumps({"n": [100], **unknown}))
         assert run_cli(["--config", cfg]) == 2
 

@@ -9,7 +9,7 @@ from border_node import BORDER_NODE, BORDER_X, border_deployment
 from capture_law import TAIL_LEVEL, capture_pool
 from secondary_index import SecondaryIndex
 from tiersim import deployment, routing
-from tiersim.deployment import SimConfig, build_deployment, primary_cell_area
+from tiersim.deployment import ConfigurationError, SimConfig, build_deployment, primary_cell_area
 from tiersim.routing import HandoverSearch, hv_path_cells, path_load_census, select_relays
 
 
@@ -69,9 +69,10 @@ def test_path_properties(k, a, b):
 
 
 def test_single_node_cell_is_forced(monkeypatch):
-    # a cell holding one tier only elects that tier; secondary nodes are moved
-    # out of primary cell 0 (one column over) and primary nodes are kept out
-    # of cell 1, so both cases occur
+    # a cell holding one tier only elects that tier. Primary nodes are kept
+    # out of cell 1, so it elects the secondary tier; moving the secondary
+    # nodes out of primary cell 0 (one column over) empties its secondary
+    # cells, which the deployment rejects
     cfg = SimConfig(n=100, seed=0)
     _, grid = primary_cell_area(cfg.n)
     draw = deployment.sample_ppp
@@ -88,16 +89,18 @@ def test_single_node_cell_is_forced(monkeypatch):
             yield i, pos
 
     monkeypatch.setattr(deployment, "sample_ppp", thinned)
-    monkeypatch.setattr(deployment.PositionStream, "chunks", moved)
     dep = build_deployment(cfg)
     relays = select_relays(dep, 1)
     occ_p = dep.primary_counts
     occ_s = dep.secondary_index_primary_grid.counts
-    assert occ_s[0] == 0 and occ_p[1] == 0 and occ_s[1] > 0
+    assert occ_p[1] == 0 and (occ_s > 0).all()
     is_sec = relays.primary_relay_is_secondary
     assert len(is_sec) == dep.primary_grid.cell_count
-    assert not is_sec[occ_s == 0].any()
-    assert is_sec[(occ_p == 0) & (occ_s > 0)].all()
+    assert is_sec[occ_p == 0].all()
+
+    monkeypatch.setattr(deployment.PositionStream, "chunks", moved)
+    with pytest.raises(ConfigurationError, match="hold no node"):
+        build_deployment(cfg)
 
 
 def test_handover_search_looks_across_a_rounding_border(monkeypatch):
@@ -144,12 +147,10 @@ def test_secondary_capture_dominates():
     assert pool.tail > TAIL_LEVEL
 
 
-def test_empty_cells_get_no_relay():
+def test_every_secondary_cell_gets_a_relay():
     dep = build_deployment(SimConfig(n=100, seed=4))
     relays = select_relays(dep, 5)
-    empty = dep.secondary_counts == 0
-    assert (relays.secondary_relay[empty] == -1).all()
-    assert (relays.secondary_relay[~empty] >= 0).all()
+    assert (relays.secondary_relay >= 0).all()
 
 
 @pytest.mark.parametrize("chunk", [routing.CHUNK, 1000, 97])

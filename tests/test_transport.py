@@ -140,23 +140,26 @@ def test_bundle_segments_arrive_inside_one_frame(recorded_run):
     assert m["segment_gap_max"] == 0
 
 
-def test_sampled_paths_skip_empty_interior_cells(recorded_run):
+def test_sampled_paths_are_hv_paths(recorded_run):
     sim = recorded_run
+    cells = sim.dep.secondary_cells
     for row in range(sim.n_sampled):
         path = sim.path_flat[sim.path_off[row]: sim.path_off[row] + sim.plen[row]]
-        for cell in path[1:-1]:
-            assert sim.sec_relay[cell] >= 0
+        want = hv_path_cells(int(cells[sim.s_src[row]]), int(cells[sim.s_dst[row]]), sim.k_s)
+        # a same-cell pair still takes one in-cell hop
+        assert np.array_equal(path, np.repeat(want, 2) if len(want) == 1 else want)
 
 
-def test_delivered_bundle_paths_skip_empty_interior_cells(recorded_run):
+def test_delivered_bundle_paths_are_hv_paths(recorded_run):
     sim = recorded_run
     table = sim.table[: sim.n_launched]
     delivered = table[table["delivered"] >= 0]
     assert len(delivered)
     for b in delivered:
         path = sim.b_path[b["off"] : b["off"] + b["length"]]
-        for cell in path[1:-1]:
-            assert sim.sec_relay[cell] >= 0
+        want = hv_path_cells(int(sim.dep.secondary_cells[b["lead"]]),
+                             int(sim.pair_int_dest_cell[b["pair"]]), sim.k_s)
+        assert np.array_equal(path, want)
 
 
 def test_desk_scale_metrics_sane(recorded_run):
@@ -191,9 +194,9 @@ def test_zero_traffic_reports_zero_throughput():
     assert m["low_confidence"]
 
 
-def test_dropped_when_no_interior_destination():
+def test_dropped_when_relay_cell_is_thinner_than_n():
     sim = make_sim(frames=32, warmup=0)
-    sim.pair_int_dest[:] = -1  # no handover candidate anywhere
+    sim.n_relays = 10**9  # no relay cell holds that many secondary nodes
     sim.run()
     assert sim.dropped_p > 0
     assert sim.delivered_carried == 0
@@ -204,7 +207,7 @@ def test_drop_rate_counts_only_the_primary_tier():
     # the sampled secondary pairs inject about 12 k packets and never drop
     # one, so they must not dilute the primary drops below the 1 % valid bound
     sim = make_sim()
-    sim.pair_int_dest[:] = -1
+    sim.n_relays = 10**9
     sim.run()
     assert (sim.dropped_p, sim.injected_p) == (14, 18)
     assert sim.metrics()["drop_rate"] == 14 / 18
@@ -301,10 +304,10 @@ def test_primary_setup_empty_penultimate_cell(monkeypatch):
             yield i, pos
 
     monkeypatch.setattr(deployment.PositionStream, "chunks", secondaries_outside)
-    sim = prepare(cfg)
-    assert sim.dep.secondary_index_primary_grid.counts[empty] == 0
-    assert sim.pair_int_dest[pair] == -1 and sim.pair_int_dest_cell[pair] == -1
-    assert_primary_setup_equals_reference(sim)
+    # a penultimate cell without secondary nodes has empty secondary cells,
+    # which the deployment rejects before any pair is set up
+    with pytest.raises(ConfigurationError, match="hold no node"):
+        prepare(cfg)
 
 
 # ======== crafted single-subframe steps ========
