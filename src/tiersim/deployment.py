@@ -146,19 +146,17 @@ def primary_cell_area(n: float, ap_scale: float = 1.0) -> tuple[float, CellGrid]
     return target, CellGrid(side_count=k)
 
 
-def secondary_cell_area(n: float, beta: float, a_p: float) -> tuple[float, CellGrid]:
+def secondary_cell_area(n: float, beta: float, primary: CellGrid) -> tuple[float, CellGrid]:
     """Secondary cell target beta^2 n^2 a_p^2 / (2 m ln m) and realized grid.
 
-    a_p is the realized primary cell area 1/k_p^2. The secondary side count
-    is q*k_p with q = floor(sqrt(a_p/target)), so every secondary cell nests
-    inside exactly one primary cell.
+    a_p is the realized primary grid's cell area 1/k_p^2. The secondary side
+    count is q*k_p with q = floor(sqrt(a_p/target)), so every secondary cell
+    nests inside exactly one primary cell.
     """
     m = n ** beta
     if m <= math.e:
         raise ConfigurationError(f"m={m} too small for a secondary grid")
-    k_p = round(1.0 / math.sqrt(a_p))
-    if abs(1.0 / (k_p * k_p) - a_p) > 1e-12 * a_p:
-        raise ConfigurationError(f"a_p={a_p} is not a realized grid cell area")
+    a_p, k_p = primary.cell_area, primary.side_count
     target = beta * beta * n * n * a_p * a_p / (2.0 * m * math.log(m))
     q = int(math.sqrt(a_p / target))
     if q < 1:
@@ -355,7 +353,7 @@ def build_deployment(config: SimConfig) -> Deployment:
     g_deploy, g_pairs, _, _ = rng_streams(config.seed)
 
     _, p_grid = primary_cell_area(config.n, config.ap_scale)
-    _, s_grid = secondary_cell_area(config.n, config.beta, p_grid.cell_area)
+    _, s_grid = secondary_cell_area(config.n, config.beta, p_grid)
     need = config.m * SECONDARY_NODE_BYTES
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deployment import SimConfig, build_deployment, cell_occupancy, rng_streams
-from .routing import select_relays
+from .routing import hv_path_cells, select_relays
 from .scheduler import TICKS
 from .transport import RunOptions, TransportSim
 
@@ -425,7 +425,8 @@ def trace_packet(config: SimConfig) -> dict:
         "C": float(c),
         "carry_frames": int(carry_frames),
         "roster_and_admission_frames": int(delivered - arrival),
-        "path_cells": int(b["length"]),
+        "path_cells": len(hv_path_cells(int(sim.dep.secondary_cells[b["lead"]]),
+                                        int(sim.pair_int_dest_cell[b["pair"]]), sim.k_s)),
         "segments": sim.n_relays,
     }
 

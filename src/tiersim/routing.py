@@ -24,6 +24,7 @@ __all__ = [
     "HandoverSearch",
     "RelayAssignment",
     "hv_path_cells",
+    "hv_step",
     "select_relays",
     "path_load_census",
 ]
@@ -42,6 +43,15 @@ def hv_path_cells(src_cell: int, dst_cell: int, side_count: int) -> np.ndarray:
     horiz = np.arange(sx, dx + step_x, step_x, dtype=np.int64) * k + sy
     vert = dx * k + np.arange(sy + step_y, dy + step_y, step_y, dtype=np.int64)
     return np.concatenate([horiz, vert])
+
+
+def hv_step(cell, dst_cell, side_count: int) -> np.ndarray:
+    """The cell after cell on the HV path toward dst_cell, elementwise; dst_cell
+    itself once there. Both are widened to int64: unsigned differences wrap."""
+    k = side_count
+    cell, dst_cell = np.asarray(cell, dtype=np.int64), np.asarray(dst_cell, dtype=np.int64)
+    dx = dst_cell // k - cell // k
+    return np.where(dx != 0, cell + np.sign(dx) * k, cell + np.sign(dst_cell - cell))
 
 
 # ======== designated relays ========

@@ -17,10 +17,10 @@ fewer than N secondary nodes. Sources are saturated: an occupied cell
 transmits every time it is active, sources within a cell taking turns. A cell
 is active once every PHASES frames, so at frame t its turn is t // PHASES
 modulo its source count. Bundles are rows of one table indexed by bundle id
-in launch order, a bundle's path is a slice of one flat array of secondary
-cells, and the bundles in flight and the delivery roster are arrays of bundle
-ids. The primary delay and roster wait are summed from the table's frame
-stamps when metrics are read.
+in launch order; a bundle holds the secondary cell it is in and steps by the
+HV rule toward its int-dest's cell, so no bundle path is stored. The bundles
+in flight and the delivery roster are arrays of bundle ids. The primary delay
+and roster wait are summed from the table's frame stamps when metrics are read.
 
 Secondary node 2i sends to node 2i + 1. Positions are i.i.d. in node-id
 order, so that is a uniform random matching in law; the pairs are read in
@@ -31,9 +31,9 @@ scaled by the fluid packet-size factor derived from the full-population path
 census, so the reported per-pair throughput reflects the load of the whole
 network, not the sample.
 Sampled packets are held as queue lengths, one per position of each pair's
-path: only a position's head packet hops, so a pair delivers in injection
-order, and a delivered packet's birth follows from how many the pair
-delivered before it.
+path, and a pair's path is held once, as its block of queue cells. Only a
+position's head packet hops, so a pair delivers in injection order, and a
+delivered packet's birth follows from how many the pair delivered before it.
 
 Secondary positions are not held by the deployment. Set-up regenerates them
 once, in one pass, and keeps those a plain frame reads: the relays', the
@@ -57,7 +57,7 @@ from .deployment import (
     ConfigurationError,
     Deployment,
 )
-from .routing import HandoverSearch, RelayAssignment, hv_path_cells, path_load_census
+from .routing import HandoverSearch, RelayAssignment, hv_path_cells, hv_step, path_load_census
 from .scheduler import (
     PHASES,
     TICKS,
@@ -118,10 +118,10 @@ class PacketRecord:
 
 
 # one row per launched bundle: its pair, broadcast frame, lead relay node,
-# path slice into TransportSim.b_path, position on it, and the frames it
-# arrived (joined the roster) and was delivered, -1 until then
+# the secondary cell it is in, and the frames it arrived (joined the roster)
+# and was delivered, -1 until then
 BUNDLE = np.dtype([(name, np.int64) for name in (
-    "pair", "born", "lead", "off", "length", "pos", "arrival", "delivered")])
+    "pair", "born", "lead", "cell", "arrival", "delivered")])
 
 
 def _grow(a: np.ndarray, size: int) -> np.ndarray:
@@ -179,8 +179,6 @@ class TransportSim:
         self.delay_s_sum = 0.0
         self.table = np.empty(64, dtype=BUNDLE)
         self.n_launched = 0
-        self.b_path = np.empty(4096, dtype=np.int64)
-        self.b_path_end = 0
         self.bundles = np.empty(0, dtype=np.int64)   # in flight, launch order
         self.pending = np.empty(0, dtype=np.int64)   # roster, arrival order
         self.records: list[PacketRecord] = []
@@ -207,9 +205,8 @@ class TransportSim:
         self.pair_path_len = np.abs(dx - sx) + np.abs(dy - sy) + 1
         self.pair_direct = self.pair_path_len <= 2
         carried = ~self.pair_direct
-        relay = np.where(step_x != 0, src_cells + step_x * k, src_cells + step_y)
         penult = np.where(step_y != 0, dst_cells - step_y, dst_cells - step_x * k)
-        self.pair_relay_cell = np.where(carried, relay, -1)
+        self.pair_relay_cell = np.where(carried, hv_step(src_cells, dst_cells, k), -1)
         # pairs grouped by their source's cell
         self.sources = CellIndex(src_cells, np.bincount(src_cells, minlength=cell_count))
         # the handover node depends only on (penultimate cell, sink cell)
@@ -224,7 +221,7 @@ class TransportSim:
         census = path_load_census(
             dep.secondary_cells[: 2 * self.n_pairs_s].reshape(-1, 2), self.k_s)
         self.census_max = int(census.max())
-        self.packet_size_factor = 1.0 / self.census_max if self.census_max else float("nan")
+        self.packet_size_factor = 1.0 / self.census_max
 
         take = min(SAMPLE_PAIRS, self.n_pairs_s)
         rows = np.sort(self.rng.choice(self.n_pairs_s, size=take, replace=False))
@@ -235,20 +232,17 @@ class TransportSim:
             path = hv_path_cells(int(dep.secondary_cells[self.s_src[r]]),
                                  int(dep.secondary_cells[self.s_dst[r]]), self.k_s)
             # a same-cell pair still takes one in-cell hop
-            paths.append(np.repeat(path, 2) if len(path) == 1 else path)
+            paths.append(np.repeat(path, 2) if len(path) == 1 else path[::-1])
         self.plen = np.array([len(p) for p in paths], dtype=np.int64)
         self.path_off = np.zeros(take, dtype=np.int64)
         np.cumsum(self.plen[:-1], out=self.path_off[1:])
-        self.path_flat = np.concatenate(paths) if take else np.empty(0, dtype=np.int64)
-        self.birth_sigma = self.sigma_s[self.path_flat[self.path_off]]
+        self.birth_sigma = self.sigma_s[dep.secondary_cells[self.s_src]]
 
-        # q[i]: packets queued at one path position. Pair r owns
-        # q[path_off[r] : path_off[r] + plen[r]], laid out last position
+        # q[i]: packets queued at one path position, in cell q_cell[i]. Pair r
+        # owns q[path_off[r] : path_off[r] + plen[r]], laid out last position
         # first, so flat order is (pair, eldest first) and a hop is i -> i - 1.
-        last_first = (np.repeat(2 * self.path_off + self.plen - 1, self.plen)
-                      - np.arange(len(self.path_flat)))
-        self.q_cell = self.path_flat[last_first]
-        self.q = np.zeros(len(self.path_flat), dtype=np.int32)  # half the bytes per pass
+        self.q_cell = np.concatenate(paths) if take else NO_IDS
+        self.q = np.zeros(len(self.q_cell), dtype=np.int32)  # half the bytes per pass
         self.cnt = np.zeros(take, dtype=np.int64)
         self.out_s = np.zeros(take, dtype=np.int64)  # packets delivered per pair
         self.n_sampled = take
@@ -331,24 +325,20 @@ class TransportSim:
                 self.dropped_p += 1
                 continue
             ids = self.rng.choice(members, size=self.n_relays, replace=False)
-            lead = int(ids[self.rng.integers(self.n_relays)])
-            lead_cell = int(self.dep.secondary_cells[lead])
-            self._launch(t, pair, lead,
-                         hv_path_cells(lead_cell, int(self.pair_int_dest_cell[pair]), self.k_s))
+            self._launch(t, pair, int(ids[self.rng.integers(self.n_relays)]))
             sent.append(pair)
             relays.append(ids)
         return np.array(sent, dtype=np.int64), relays
 
-    def _launch(self, t: int, pair: int, lead: int, path: np.ndarray) -> int:
-        """Add one bundle to the table and return its id; a bundle on a
-        one-cell path arrives at once."""
-        b, off = self.n_launched, self.b_path_end
+    def _launch(self, t: int, pair: int, lead: int) -> int:
+        """Add one bundle, in its lead relay's cell, to the table and return
+        its id; a bundle launched in its int-dest's cell arrives at once."""
+        b = self.n_launched
         self.table = _grow(self.table, b + 1)
-        self.b_path = _grow(self.b_path, off + len(path))
-        self.b_path[off : off + len(path)] = path
-        arrived = len(path) == 1
-        self.table[b] = (pair, t, lead, off, len(path), 0, t if arrived else -1, -1)
-        self.n_launched, self.b_path_end = b + 1, off + len(path)
+        cell = int(self.dep.secondary_cells[lead])
+        arrived = cell == self.pair_int_dest_cell[pair]
+        self.table[b] = (pair, t, lead, cell, t if arrived else -1, -1)
+        self.n_launched = b + 1
         if arrived:
             self.pending = np.append(self.pending, b)
         else:
@@ -415,8 +405,7 @@ class TransportSim:
         ids = self.bundles
         if not len(ids):
             return NO_HOPS
-        at = tab["off"][ids] + tab["pos"][ids]
-        cells = self.b_path[at]
+        cells = tab["cell"][ids]
         pairs = tab["pair"][ids]
         # a fresh bundle waits out its broadcast frame unchecked: its first
         # cell lies in its source's preservation region
@@ -428,9 +417,10 @@ class TransportSim:
             hop = hop[np.sort(first)]
         moved = ids[hop]
         sent = cells[hop]
-        pos = tab["pos"][moved] + 1
-        tab["pos"][moved] = pos
-        arrived = pos == tab["length"][moved] - 1
+        dest = self.pair_int_dest_cell[pairs[hop]]
+        new_cell = hv_step(sent, dest, self.k_s)
+        tab["cell"][moved] = new_cell
+        arrived = new_cell == dest
         done = moved[arrived]
         if len(done):
             tab["arrival"][done] = t  # joins the delivery roster next frame
@@ -438,10 +428,10 @@ class TransportSim:
             self.bundles = ids[tab["arrival"][ids] < 0]
         if not len(hop) or not self._in_audit(t):
             return NO_HOPS
-        new_cell = self.b_path[at[hop] + 1]
         tx = self.relay_tx_pos[self.relay_row[sent]]
-        # a first hop leaves from the drawn lead relay, not the cell's relay
-        lead = np.flatnonzero(pos == 1)
+        # a first hop leaves from the drawn lead relay, not the cell's relay;
+        # an HV path visits each cell once, so it is the hop sent from the lead's cell
+        lead = np.flatnonzero(sent == self.dep.secondary_cells[tab["lead"][moved]])
         if len(lead):
             tx[lead] = self.sec_pos.take(tab["lead"][moved[lead]])
         rx = np.where(arrived[:, None], self.pair_int_dest_pos[pairs[hop]],
@@ -611,10 +601,10 @@ class TransportSim:
         cfg = self.cfg
         span = cfg.frames - cfg.warmup_frames
         pairs_s = self.n_pairs_s
+        # zero traffic reports zero throughput, not nan; delay stays undefined
         rate_s = (self.delivered_s_post / (self.n_sampled * span * TICKS)
                   if self.n_sampled else 0.0)
-        # zero traffic reports zero throughput, not nan; delay stays undefined
-        lambda_s = rate_s * self.packet_size_factor if rate_s else 0.0
+        lambda_s = rate_s * self.packet_size_factor
         # carried deliveries from warmup on, summed exactly from the table
         tab = self.table[: self.n_launched]
         done = tab[tab["delivered"] >= cfg.warmup_frames]

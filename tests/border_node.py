@@ -23,7 +23,7 @@ def border_deployment(monkeypatch):
     monkeypatch is active carry the planted node too. At n = 128 its
     2500 secondary cells would hold about 6.6 nodes each, and some none."""
     monkeypatch.setattr(deployment, "primary_cell_area", lambda n, ap=1.0: (0.04, CellGrid(5)))
-    monkeypatch.setattr(deployment, "secondary_cell_area", lambda n, b, a: (4e-4, CellGrid(50)))
+    monkeypatch.setattr(deployment, "secondary_cell_area", lambda n, b, grid: (4e-4, CellGrid(50)))
     regenerate = deployment.PositionStream.chunks
 
     def planted(stream, *args):

@@ -103,7 +103,7 @@ def test_primary_cell_area_meets_target(n, ap_scale):
 def test_secondary_grid_exact_evaluation():
     # n=1e4, beta=2: target = 4e8/65536 / (2e8 ln 1e8) = 1.6567e-6,
     # q = floor(sqrt((1/256)/target)) = floor(48.56) = 48
-    target, grid = secondary_cell_area(1e4, 2.0, 1.0 / 256.0)
+    target, grid = secondary_cell_area(1e4, 2.0, CellGrid(16))
     assert target == pytest.approx(6103.515625 / (2e8 * math.log(1e8)))
     assert target == pytest.approx(1.6567e-6, rel=1e-4)
     assert grid.side_count == 48 * 16
@@ -120,15 +120,10 @@ def test_secondary_target_collapses_at_ideal_primary_area():
     assert target == pytest.approx(2.0 * math.log(m) / m, rel=1e-12)
 
 
-def test_secondary_grid_requires_realized_primary_area():
-    with pytest.raises(ConfigurationError):
-        secondary_cell_area(100, 2.0, 2.0 * math.log(100) / 100)
-
-
 def test_secondary_refines_primary():
     for n in (64, 100, 256, 1024):
         _, p_grid = primary_cell_area(n)
-        _, s_grid = secondary_cell_area(n, 2.0, p_grid.cell_area)
+        _, s_grid = secondary_cell_area(n, 2.0, p_grid)
         assert s_grid.side_count % p_grid.side_count == 0
         assert s_grid.cell_area <= p_grid.cell_area
 
@@ -396,7 +391,7 @@ def test_build_deployment_rejects_an_empty_secondary_cell(monkeypatch, tmp_path)
     # exactly one cell is empty; the CLI reports the rejection as exit code 2
     cfg = SimConfig(n=64, seed=0)
     _, p_grid = primary_cell_area(cfg.n)
-    _, s_grid = secondary_cell_area(cfg.n, cfg.beta, p_grid.cell_area)
+    _, s_grid = secondary_cell_area(cfg.n, cfg.beta, p_grid)
     regenerate = PositionStream.chunks
 
     def emptied(stream, *args):

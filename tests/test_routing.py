@@ -10,7 +10,8 @@ from capture_law import TAIL_LEVEL, capture_pool
 from secondary_index import SecondaryIndex
 from tiersim import deployment, routing
 from tiersim.deployment import ConfigurationError, SimConfig, build_deployment, primary_cell_area
-from tiersim.routing import HandoverSearch, hv_path_cells, path_load_census, select_relays
+from tiersim.routing import (HandoverSearch, hv_path_cells, hv_step, path_load_census,
+                             select_relays)
 
 
 def flat(x, y, k):
@@ -63,6 +64,36 @@ def test_path_properties(k, a, b):
     # horizontal run first: y stays sy until x reaches dx
     for x, y in zip(xs, ys):
         assert y == sy or x == dx
+
+
+def assert_steps_walk_hv_paths(src, dst, k):
+    """Stepping every src toward its dst visits exactly its hv_path_cells
+    path, then stays at dst."""
+    walk = [src]
+    for _ in range(2 * k):  # one step more than the longest path takes
+        walk.append(hv_step(walk[-1], dst, k))
+    walk = np.stack(walk, axis=1)
+    for cells, s, d in zip(walk, src.tolist(), dst.tolist()):
+        path = hv_path_cells(s, d, k)
+        assert np.array_equal(cells[: len(path)], path)
+        assert (cells[len(path) :] == d).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_hv_step_walks_every_hv_path(k):
+    src, dst = np.divmod(np.arange(k**4), k * k)
+    assert_steps_walk_hv_paths(src, dst, k)
+
+
+def test_hv_step_widens_unsigned_cells():
+    # both ways across the first and last full row and column of a 256 x 256
+    # grid, as uint16 cells: a step toward a lower cell must not wrap
+    k = 256
+    ends = [(flat(0, y, k), flat(k - 1, y, k)) for y in (0, k - 1)]
+    ends += [(flat(x, 0, k), flat(x, k - 1, k)) for x in (0, k - 1)]
+    ends += [(b, a) for a, b in ends]
+    src, dst = np.array(ends, dtype=np.uint16).T
+    assert_steps_walk_hv_paths(src, dst, k)
 
 
 # ======== designated relays ========

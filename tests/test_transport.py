@@ -1,7 +1,7 @@
 """Transport tests: segmentation math, subframe stepping, delivery accounting."""
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import partial
 
 import numpy as np
@@ -60,9 +60,31 @@ def test_relay_count_single_segment_regime():
 # ======== whole-run accounting ========
 
 
+def record_bundle_hops(sim):
+    """Wrap sim's bundle subframe. Returns a dict from bundle id to the cells
+    its hops were sent from, in order, read off the returned hops; every
+    frame must be an audit frame."""
+    sent = defaultdict(list)
+    advance = sim._advance_bundles
+
+    def recorded(t, *args):
+        ids = sim.bundles
+        before = sim.table["cell"][ids]
+        hops = advance(t, *args)
+        moved = sim.table["cell"][ids] != before
+        assert np.array_equal(hops[2], before[moved])
+        for b, cell in zip(ids[moved].tolist(), hops[2].tolist()):
+            sent[b].append(cell)
+        return hops
+
+    sim._advance_bundles = recorded
+    return sent
+
+
 @pytest.fixture(scope="module")
 def recorded_run():
     sim = make_sim(frames=96, warmup=0, sample_pairs=64, collect_records=True)
+    sim.bundle_hops = record_bundle_hops(sim)
     sim.run()
     return sim
 
@@ -144,22 +166,23 @@ def test_sampled_paths_are_hv_paths(recorded_run):
     sim = recorded_run
     cells = sim.dep.secondary_cells
     for row in range(sim.n_sampled):
-        path = sim.path_flat[sim.path_off[row]: sim.path_off[row] + sim.plen[row]]
+        # a pair's q_cell block holds its path last position first
+        path = sim.q_cell[sim.path_off[row] : sim.path_off[row] + sim.plen[row]][::-1]
         want = hv_path_cells(int(cells[sim.s_src[row]]), int(cells[sim.s_dst[row]]), sim.k_s)
         # a same-cell pair still takes one in-cell hop
         assert np.array_equal(path, np.repeat(want, 2) if len(want) == 1 else want)
 
 
 def test_delivered_bundle_paths_are_hv_paths(recorded_run):
+    # a delivered bundle was sent from every cell of its HV path but the last
     sim = recorded_run
-    table = sim.table[: sim.n_launched]
-    delivered = table[table["delivered"] >= 0]
+    delivered = np.flatnonzero(sim.table["delivered"][: sim.n_launched] >= 0)
     assert len(delivered)
-    for b in delivered:
-        path = sim.b_path[b["off"] : b["off"] + b["length"]]
-        want = hv_path_cells(int(sim.dep.secondary_cells[b["lead"]]),
-                             int(sim.pair_int_dest_cell[b["pair"]]), sim.k_s)
-        assert np.array_equal(path, want)
+    for b in delivered.tolist():
+        lead, pair = sim.table[["lead", "pair"]][b].tolist()
+        want = hv_path_cells(int(sim.dep.secondary_cells[lead]),
+                             int(sim.pair_int_dest_cell[pair]), sim.k_s)
+        assert sim.bundle_hops[b] == want[:-1].tolist()
 
 
 def test_desk_scale_metrics_sane(recorded_run):
@@ -238,10 +261,11 @@ def test_sampled_pair_ends_are_2r_and_2r_plus_1():
                                            replace=False))
     assert np.array_equal(sim.s_src, 2 * rows)
     assert np.array_equal(sim.s_dst, 2 * rows + 1)
+    # q_cell holds each pair's path last position first
     cells = sim.dep.secondary_cells
-    last = sim.path_off + sim.plen - 1
-    assert np.array_equal(sim.path_flat[sim.path_off], cells[sim.s_src])
-    assert np.array_equal(sim.path_flat[last], cells[sim.s_dst])
+    first = sim.path_off + sim.plen - 1
+    assert np.array_equal(sim.q_cell[first], cells[sim.s_src])
+    assert np.array_equal(sim.q_cell[sim.path_off], cells[sim.s_dst])
 
 
 def test_census_counts_every_consecutive_pair(monkeypatch):
@@ -370,8 +394,8 @@ def test_eldest_packet_moves_first():
     # born at frames 0 and 2; the elder moves from frame 2 and arrives in
     # frame plen, the younger trails it by one frame
     plen = sim.plen
-    born = sim.sigma_s[sim.path_flat[sim.path_off]]
-    last = sim.sigma_s[sim.path_flat[sim.path_off + plen - 2]]
+    born = sim.sigma_s[sim.q_cell[heads]]
+    last = sim.sigma_s[sim.q_cell[queue_index(sim, rows, plen - 2)]]
     first = (64 * plen + last + 1) - born
     second = (64 * (plen + 1) + last + 1) - (64 * 2 + born)
     assert t == plen.max() + 2
@@ -404,27 +428,38 @@ def carried_pairs(sim):
 
 
 def launch_arrived(sim, pair, t):
-    """Launch a bundle of pair on a one-cell path, so it arrives in frame t."""
-    return sim._launch(t, pair, int(sim.pair_int_dest[pair]),
-                       [int(sim.pair_int_dest_cell[pair])])
+    """Launch a bundle of pair led by its int-dest, so it arrives in frame t."""
+    return sim._launch(t, pair, int(sim.pair_int_dest[pair]))
 
 
-def positions(sim, *bundles):
-    return tuple(sim.table["pos"][list(bundles)].tolist())
+def lead_node(sim, pair, hops):
+    """The relay of a secondary cell hops HV hops from pair's int-dest cell."""
+    dest = int(sim.pair_int_dest_cell[pair])
+    cell = next(c for c in range(sim.gs.cell_count)
+                if len(hv_path_cells(c, dest, sim.k_s)) == hops + 1)
+    return int(sim.sec_relay[cell])
+
+
+def bundle_cells(sim, *bundles):
+    return tuple(sim.table["cell"][list(bundles)].tolist())
 
 
 def test_one_bundle_per_cell_per_pair():
     sim = make_sim(warmup=0)
-    pair, other_pair = carried_pairs(sim)[:2]
-    path = [0, 1, 2, 3]
-    first = sim._launch(0, pair, 0, path)
-    second = sim._launch(0, pair, 0, path)
+    pair = carried_pairs(sim)[0]
+    lead = lead_node(sim, pair, 3)
+    start = int(sim.dep.secondary_cells[lead])
+    other_pair = next(p for p in carried_pairs(sim)[1:] if sim.pair_int_dest_cell[p] != start)
+    path = hv_path_cells(start, int(sim.pair_int_dest_cell[pair]), sim.k_s).tolist()
+    first = sim._launch(0, pair, lead)
+    second = sim._launch(0, pair, lead)
     sim._advance_bundles(1, open_cells(sim))
-    assert positions(sim, first, second) == (1, 0)
+    assert bundle_cells(sim, first, second) == (path[1], path[0])
     # different pair on the same cells is not contended
-    third = sim._launch(0, other_pair, 0, path)
+    third = sim._launch(0, other_pair, lead)
+    other_path = hv_path_cells(start, int(sim.pair_int_dest_cell[other_pair]), sim.k_s)
     sim._advance_bundles(2, open_cells(sim))
-    assert positions(sim, first, second, third) == (2, 1, 1)
+    assert bundle_cells(sim, first, second, third) == (path[2], path[1], other_path[1])
 
 
 @pytest.mark.parametrize("n, ap_scale", [(64, 1), (128, 1), (256, 1), (512, 1), (1024, 1),
@@ -451,7 +486,7 @@ def sinks_served(handovers):
 def test_arrival_joins_roster_next_frame():
     sim = make_sim(warmup=0)
     pair = carried_pairs(sim)[0]
-    bundle = sim._launch(0, pair, 0, [0, 1])
+    bundle = sim._launch(0, pair, lead_node(sim, pair, 1))
     sim._advance_bundles(3, open_cells(sim))
     assert sim.bundles.tolist() == []
     assert sim.pending.tolist() == [bundle]
