@@ -39,7 +39,9 @@ Secondary positions are not held by the deployment. Set-up regenerates them
 once, in one pass, and keeps those a plain frame reads: the relays', the
 int-dests' and the sampled pairs' ends. Only the SINR audit regenerates
 more: the receivers of the broadcasts it takes and the lead relay of a
-bundle's first hop.
+bundle's first hop. It takes each frame's broadcasts as drawn, the emitting
+pairs and their relay ids, and audits the first AUDIT_BROADCASTS of its
+window, each at its first AUDIT_RX_CAP relays.
 """
 
 from __future__ import annotations
@@ -201,11 +203,11 @@ class TransportSim:
         k, cell_count = self.k_p, self.gp.cell_count
         sx, sy = np.divmod(src_cells, k)
         dx, dy = np.divmod(dst_cells, k)
-        step_x, step_y = np.sign(dx - sx), np.sign(dy - sy)
         self.pair_path_len = np.abs(dx - sx) + np.abs(dy - sy) + 1
         self.pair_direct = self.pair_path_len <= 2
         carried = ~self.pair_direct
-        penult = np.where(step_y != 0, dst_cells - step_y, dst_cells - step_x * k)
+        # path[-2]: a step from the sink toward the path's turn, or its source if straight
+        penult = hv_step(dst_cells, np.where(dy != sy, dx * k + sy, src_cells), k)
         self.pair_relay_cell = np.where(carried, hv_step(src_cells, dst_cells, k), -1)
         # pairs grouped by their source's cell
         self.sources = CellIndex(src_cells, np.bincount(src_cells, minlength=cell_count))
@@ -477,24 +479,16 @@ class TransportSim:
 
     # ======== SINR audit ========
 
-    def _broadcast_positions(self, sent: np.ndarray, relays: list) -> tuple:
-        """A frame's broadcasts as the audit reads them: the sources' positions
-        (B,2), and the first AUDIT_RX_CAP receivers' positions of each
-        broadcast the audit has yet to take, regenerated for relays."""
-        left = max(0, AUDIT_BROADCASTS - self._audited_broadcasts)
-        receivers = [self.sec_pos.take(ids[:AUDIT_RX_CAP]) if len(ids)
-                     else self.pri_pos[self.pairs_p[pair, 1:]]
-                     for pair, ids in zip(sent[:left].tolist(), relays)]
-        return self.pri_pos[self.pairs_p[sent, 0]], receivers
-
-    def _audit_frame(self, t, broadcasts, hops, deliveries) -> None:
+    def _audit_frame(self, t, sent, relays, hops, deliveries) -> None:
+        """Frame t's receptions against their concurrent transmitters; sent
+        and relays are the frame's broadcasts as _broadcast drew them."""
         noise, alpha = self.cfg.noise, self.cfg.alpha
         # structural transmitters: the relay_cells rows this phase leaves
         # unblocked, one run per tick
         live = ~self.blocked[t % PHASES][self.relay_cells]
         live_rows = np.flatnonzero(live)
         bounds = np.searchsorted(live_rows, self.relay_tick_bounds)
-        bc_pos, bc_rx = broadcasts
+        bc_pos = self.pri_pos[self.pairs_p[sent, 0]]
         deliv_tx, _, sink_of = deliveries
 
         self._audit_hops(hops, live, live_rows, bounds, bc_pos)
@@ -507,18 +501,19 @@ class TransportSim:
                             self.p_p, np.vstack([others, bc_pos]), self.p_p, noise, alpha)
             self.report.record("delivery", s)
 
-        if not bc_rx or self._audited_broadcasts >= AUDIT_BROADCASTS:
+        audited = sent[: AUDIT_BROADCASTS - self._audited_broadcasts]
+        if not len(audited):
             return
+        self._audited_broadcasts += len(audited)
         # live relays as contiguous x, y columns, in groups of whole ticks that
         # start in one AUDIT_BLOCK_COLS window, so a block is at most a tick wider
         xs, ys = np.take(self.relay_tx_pos, live_rows, axis=0).T.copy()
         edges = np.r_[0, np.flatnonzero(np.diff(bounds[:-1] // AUDIT_BLOCK_COLS)) + 1, TICKS]
         cols = bounds.tolist()
-        for j, (src_pos, rx_all) in enumerate(zip(bc_pos, bc_rx)):
-            if self._audited_broadcasts >= AUDIT_BROADCASTS:
-                break
-            self._audited_broadcasts += 1
-            rx = rx_all[:AUDIT_RX_CAP]
+        for j, (src_pos, pair, ids) in enumerate(zip(bc_pos, audited.tolist(), relays)):
+            # the first AUDIT_RX_CAP relays, regenerated, or a direct handoff's destination
+            rx = (self.sec_pos.take(ids[:AUDIT_RX_CAP]) if len(ids)
+                  else self.pri_pos[self.pairs_p[pair, 1:]])
             rx_x, rx_y = rx[:, 0, None], rx[:, 1, None]
             signal = phy.received_power(rx[:, 0], rx[:, 1], src_pos[0], src_pos[1],
                                         self.p_p, alpha, "transmitter")
@@ -585,7 +580,7 @@ class TransportSim:
         deliveries = self._deliver(t, self.sink_open[phase])
         if self._in_audit(t):
             hops = tuple(np.concatenate(h) for h in zip(hops, bundle_hops))
-            self._audit_frame(t, self._broadcast_positions(sent, relays), hops, deliveries)
+            self._audit_frame(t, sent, relays, hops, deliveries)
         alive_s = int(self.cnt.sum())
         assert self.injected_s == self.delivered_s + alive_s
         assert self.injected_p == (self.delivered_direct + self.delivered_carried

@@ -3,8 +3,10 @@
 This is the audit as it ran before the batched form: structural
 transmitters are rebuilt per phase from the preservation rectangles, and
 every hop, delivery and broadcast tick makes its own call to a kernel that
-forms the full (R, T, 2) difference array. The batched audit must
-reproduce its running minima and sample counts exactly.
+forms the full (R, T, 2) difference array. Broadcast receivers are read
+from every secondary position, taken in one pass, not regenerated per node.
+The batched audit must reproduce its running minima and sample counts
+exactly.
 use_reference_audit installs it on one TransportSim instance.
 """
 
@@ -40,16 +42,15 @@ def sinr_at(rx_pos, signal_tx, signal_power, int_pos, int_power, noise, alpha):
     return signal / (noise + interference_at(rx_pos, int_pos, int_power, alpha))
 
 
-def tick_sets(sim: TransportSim, phase: int) -> list:
-    """Per tick: the unblocked relay-holding cells and their relays' positions."""
+def tick_sets(sim: TransportSim, phase: int, sec_pos: np.ndarray) -> list:
+    """Per tick: the unblocked cells and their relays' positions, given every
+    secondary position sec_pos."""
     rects = phase_rects(sim, phase)
     by_tick = np.argsort(sim.sigma_s, kind="stable")
     bounds = np.searchsorted(sim.sigma_s[by_tick], np.arange(TICKS + 1))
-    sec_pos = secondary_positions(sim.dep)
     sets = []
     for tick in range(TICKS):
         cells = by_tick[bounds[tick] : bounds[tick + 1]]
-        cells = cells[sim.sec_relay[cells] >= 0]
         if rects:
             cells = cells[~rect_blocked(cells, rects, sim.k_s)]
         sets.append((cells, sec_pos[sim.sec_relay[cells]]))
@@ -62,11 +63,13 @@ def use_reference_audit(sim: TransportSim) -> TransportSim:
     return sim
 
 
-def reference_audit_frame(sim: TransportSim, t, broadcasts, hops, deliveries) -> None:
-    """The per-hop audit of frame t, recording into sim.report."""
+def reference_audit_frame(sim: TransportSim, t, sent, relays, hops, deliveries) -> None:
+    """The per-hop audit of frame t, recording into sim.report; sent and
+    relays are the frame's emitting pairs and each one's relay ids."""
     noise, alpha = sim.cfg.noise, sim.cfg.alpha
-    sets = tick_sets(sim, t % PHASES)
-    bc_pos, bc_rx = broadcasts
+    sec_pos = secondary_positions(sim.dep)
+    sets = tick_sets(sim, t % PHASES, sec_pos)
+    bc_pos = sim.pri_pos[sim.pairs_p[sent, 0]]
     deliv_tx, _, sink_of = deliveries
 
     for tx, rx, prev_cell in zip(*hops):
@@ -87,13 +90,16 @@ def reference_audit_frame(sim: TransportSim, t, broadcasts, hops, deliveries) ->
                     sim.p_p, int_pos, int_pow, noise, alpha)
         sim.report.record("delivery", s)
 
-    if sim._audited_broadcasts >= AUDIT_BROADCASTS:
-        return
-    for j, (src_pos, rx_all) in enumerate(zip(bc_pos, bc_rx)):
+    for j, (src_pos, pair, ids) in enumerate(zip(bc_pos, sent.tolist(), relays)):
         if sim._audited_broadcasts >= AUDIT_BROADCASTS:
             break
         sim._audited_broadcasts += 1
-        rx = rx_all[:AUDIT_RX_CAP]
+        # a relayed broadcast reaches its first AUDIT_RX_CAP relays, a direct
+        # handoff its destination
+        if len(ids):
+            rx = sec_pos[ids[:AUDIT_RX_CAP]]
+        else:
+            rx = sim.pri_pos[sim.pairs_p[pair, 1:]]
         other_bc = np.delete(bc_pos, j, axis=0)
         worst = np.full(len(rx), np.inf)
         for tick in range(TICKS):

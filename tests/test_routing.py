@@ -153,9 +153,7 @@ def test_relay_lives_in_its_cell():
     dep = build_deployment(SimConfig(n=100, seed=1))
     relays = select_relays(dep, 2)
     for cell in range(dep.secondary_grid.cell_count):
-        r = relays.secondary_relay[cell]
-        if r >= 0:
-            assert dep.secondary_cells[r] == cell
+        assert dep.secondary_cells[relays.secondary_relay[cell]] == cell
 
 
 def test_relay_deterministic():

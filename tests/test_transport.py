@@ -625,16 +625,18 @@ def test_batched_audit_equals_per_hop_reference_small_ticks():
 
 
 def crafted_frame(sim, rng):
-    """Three broadcasts (one over AUDIT_RX_CAP receivers, one direct-style
-    single receiver), four hops from live relays and three deliveries, two
-    of them into one region."""
-    broadcasts = (rng.random((3, 2)),
-                  [rng.random((n_rx, 2)) for n_rx in (AUDIT_RX_CAP + 6, 5, 1)])
+    """Three broadcasts (one over AUDIT_RX_CAP relays, one over 5, one
+    direct handoff) as emitting pairs and relay ids drawn from non-relay
+    nodes, four hops from live relays and three deliveries, two of them
+    into one region."""
+    sent = rng.choice(sim.n_pairs_p, 3, replace=False)
+    non_relays = np.setdiff1d(np.arange(len(sim.sec_pos)), sim.sec_relay)
+    relays = [rng.choice(non_relays, n_rx, replace=False) for n_rx in (AUDIT_RX_CAP + 6, 5, 0)]
     rows = rng.choice(len(sim.relay_cells), 4, replace=False)
     hops = (sim.relay_tx_pos[rows], rng.random((4, 2)), sim.relay_cells[rows])
     tx_rx = rng.random((3, 2, 2))
     deliveries = (tx_rx[:, 0], tx_rx[:, 1], np.array([4, 9, 4]))
-    return broadcasts, hops, deliveries
+    return sent, relays, hops, deliveries
 
 
 def audit_values(sim, audit, already_audited, *frame):
@@ -669,15 +671,31 @@ def test_broadcast_audit_raises_on_relay_in_middle_tick(monkeypatch):
     monkeypatch.setattr(transport, "AUDIT_BLOCK_COLS", 16)
     sim = make_sim(n=128.0, seed=3, frames=96, warmup=16)
     t = 16
-    broadcasts, _, deliveries = crafted_frame(sim, np.random.default_rng(5))
+    sent, relays, _, deliveries = crafted_frame(sim, np.random.default_rng(5))
     live = np.flatnonzero(~sim.blocked[t % PHASES][sim.relay_cells])
     ticks = sim.sigma_s[sim.relay_cells[live]]
     row = live[np.argmin(np.abs(ticks - TICKS // 2))]
-    broadcasts[1][1][2] = sim.relay_tx_pos[row]
+    relays[1][2] = sim.sec_relay[sim.relay_cells[row]]
     for audit in (sim._audit_frame, partial(reference_audit_frame, sim)):
         sim._audited_broadcasts = 0
         with pytest.raises(ValueError, match="interferer"):
-            audit(t, broadcasts, NO_HOPS, deliveries)
+            audit(t, sent, relays, NO_HOPS, deliveries)
+
+
+def test_broadcast_budget_runs_out_through_step():
+    # 80 audited frames at n = 1024 hold more than AUDIT_BROADCASTS
+    # broadcasts, so the budget runs out inside the audit window
+    sim = make_sim(n=1024.0, frames=96, warmup=16, audit_frames=80)
+    drawn = record_returns(sim, "_broadcast")
+    sim.run()
+    in_window = [(pair, ids) for t, (sent, relays) in enumerate(drawn) if sim._in_audit(t)
+                 for pair, ids in zip(sent.tolist(), relays)]
+    assert len(in_window) > AUDIT_BROADCASTS
+    assert sim._audited_broadcasts == AUDIT_BROADCASTS
+    # a relayed broadcast is sampled at its first AUDIT_RX_CAP relays, a
+    # direct handoff at its destination
+    assert sim.report.samples["primary"] == sum(
+        min(len(ids), AUDIT_RX_CAP) or 1 for _, ids in in_window[:AUDIT_BROADCASTS])
 
 
 # ======== queue lengths against the per-packet reference ========
