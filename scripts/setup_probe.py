@@ -9,7 +9,7 @@ are done), the peak so far after each set-up layer (peak_rss_mb_after:
 build_deployment, select_relays, TransportSim), the node counts, the fewest
 secondary nodes in a secondary cell (build_deployment rejects 0), the bytes
 per secondary node that the deployment holds for the whole run, and a
-digest of the set-up state (primary pair paths and int-dests, relay tiers
+digest of the set-up state (primary pair paths and int-dest cells, relay tiers
 and relays, the capture fraction, primary cell counts, secondary cell
 orders, census maximum) that must not change when set-up is only made
 faster or smaller. Run one size per process, so that each peak is its own.
@@ -48,8 +48,7 @@ def peak_after(layers: dict, name: str, fn):
 def setup_digest(sim) -> str:
     h = hashlib.sha256()
     dep = sim.dep
-    for a in (sim.pair_path_len, sim.pair_direct, sim.pair_relay_cell,
-              sim.pair_int_dest, sim.pair_int_dest_cell,
+    for a in (sim.pair_path_len, sim.pair_direct, sim.pair_relay_cell, sim.pair_int_dest_cell,
               sim.relays.primary_relay_is_secondary, sim.relays.secondary_relay,
               dep.primary_counts):
         h.update(memoryview(a))

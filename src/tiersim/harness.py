@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deployment import SimConfig, build_deployment, cell_occupancy, rng_streams
-from .routing import hv_path_cells, select_relays
+from .routing import select_relays
 from .scheduler import TICKS
 from .transport import RunOptions, TransportSim
 
@@ -419,14 +419,16 @@ def trace_packet(config: SimConfig) -> dict:
     carry_frames = arrival - born
     d_s_hat = TICKS * carry_frames
     c = d_p - (3 / TICKS) * d_s_hat
+    lx, ly = divmod(int(sim.dep.secondary_cells[b["lead"]]), sim.k_s)
+    ix, iy = divmod(int(sim.pair_int_dest_cell[b["pair"]]), sim.k_s)
     return {
         "D_p": float(d_p),
         "D_s_hat": float(d_s_hat),
         "C": float(c),
         "carry_frames": int(carry_frames),
         "roster_and_admission_frames": int(delivered - arrival),
-        "path_cells": len(hv_path_cells(int(sim.dep.secondary_cells[b["lead"]]),
-                                        int(sim.pair_int_dest_cell[b["pair"]]), sim.k_s)),
+        # the HV path from the lead relay's cell to the int-dest's, ends included
+        "path_cells": abs(ix - lx) + abs(iy - ly) + 1,
         "segments": sim.n_relays,
     }
 

@@ -1,15 +1,14 @@
-"""Horizontal-vertical cell paths, designated relays, handover nodes, path-load census.
+"""Horizontal-vertical cell paths, designated relays, path-load census.
 
 Every data path runs along the source's row to the destination's column,
 then along that column: one turn at most. Each secondary cell elects one
 designated relay that forwards all secondary paths crossing the cell for
 the whole run. A primary cell keeps only the tier that wins its relay draw,
 for the capture check; primary packets travel on relays drawn per broadcast.
-A secondary node belongs to the primary cell that holds its secondary cell,
-so a handover node is sought only in the penultimate cell's secondary cells.
 build_deployment rejects a deployment with an empty secondary cell, so every
-cell of both grids holds a secondary node: every secondary cell has a relay
-and every penultimate cell a handover node.
+cell of both grids holds a secondary node and every secondary cell has a
+relay. A designated relay also hands each carried primary packet over: its
+int-dest, whose cell transport fixes at set-up.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 from .deployment import CHUNK, Deployment
 
 __all__ = [
-    "HandoverSearch",
     "RelayAssignment",
     "hv_path_cells",
     "hv_step",
@@ -118,81 +116,6 @@ def select_relays(deployment: Deployment, seed) -> RelayAssignment:
         secondary_relay=secondary_relay,
         secondary_capture_fraction=capture,
     )
-
-
-# ======== handover nodes ========
-
-
-class HandoverSearch:
-    """The handover node of each (penultimate cell, sink cell) key on the
-    primary grid: the penultimate cell's member nearest the sink cell's
-    centre, the first in node-id order on a tie.
-
-    update() takes chunks of secondary positions in node-id order and keeps
-    a running minimum: a later node replaces the nearest so far only when
-    strictly nearer. A chunk is measured only in the penultimate cell's
-    secondary cells that can hold a node nearer than the bound; narrow()
-    tightens the bound to the nearest so far.
-    """
-
-    # far above the rounding of cell_of and of a squared distance
-    MARGIN = 1e-12
-    PILOT = 4096  # nodes measured before the search narrows
-
-    def __init__(self, deployment: Deployment, keys: np.ndarray):
-        self.dep = deployment
-        self.pen, sink = np.divmod(keys, deployment.primary_grid.cell_count)
-        self.cx, self.cy = deployment.primary_grid.center(sink)
-        self.best = np.full(len(keys), np.inf)
-        self.node = np.full(len(keys), -1, dtype=np.int64)
-        self.node_pos = np.full((len(keys), 2), np.nan)
-        self.narrow()
-        # the nearest of the first few nodes leaves few cells to look at
-        self.update(*next(deployment.secondary_pos.chunks(self.PILOT)))
-        self.narrow()
-
-    def narrow(self) -> None:
-        """Look only at the secondary cells of a key's penultimate cell that
-        can hold a member no farther than the nearest so far. Every span is
-        widened by MARGIN, since cell_of can place a node an ulp outside it."""
-        k_p = self.dep.primary_grid.side_count
-        k_s = self.dep.secondary_grid.side_count
-        q = k_s // k_p
-        # per axis and key: the secondary index of each cell across the
-        # penultimate cell, and the gap from the sink cell's centre to its span
-        s = np.stack(np.divmod(self.pen, k_p))[:, :, None] * q + np.arange(q)
-        c = np.stack([self.cx, self.cy])[:, :, None]
-        gap = np.maximum(np.maximum(s / k_s - c, c - (s + 1) / k_s) - self.MARGIN, 0.0)
-        cell = s[0][:, :, None] * k_s + s[1][:, None, :]
-        near = gap[0][:, :, None] ** 2 + gap[1][:, None, :] ** 2
-        look = near <= self.best[:, None, None] * (1 + self.MARGIN)
-        cell = cell[look]
-        self.count = np.bincount(cell, minlength=k_s * k_s)
-        self.looked = self.count > 0  # a bool table gathers fastest
-        self.start = np.cumsum(self.count) - self.count
-        self.key = np.nonzero(look)[0][np.argsort(cell, kind="stable")]
-
-    def update(self, first: int, pos: np.ndarray) -> None:
-        """Measure the nodes first, first + 1, ... at positions pos."""
-        cells = self.dep.secondary_cells[first : first + len(pos)]
-        at = np.flatnonzero(self.looked.take(cells))
-        cells = cells[at]
-        # every (node, key) pair of a looked-at cell, in node order: the cell
-        # lies inside the key's penultimate cell, so the node is its member
-        reps = self.count[cells]
-        nth = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        j = self.key[np.repeat(self.start[cells], reps) + nth]
-        at = np.repeat(at, reps)
-        ddx, ddy = pos[at, 0] - self.cx[j], pos[at, 1] - self.cy[j]
-        d2 = ddx * ddx + ddy * ddy
-        low = self.best.copy()
-        np.minimum.at(low, j, d2)
-        # strictly nearer only: on a tie the earlier node stays
-        hit = np.flatnonzero((d2 == low[j]) & (low[j] < self.best[j]))
-        won, lead = np.unique(j[hit], return_index=True)
-        self.best[won] = low[won]
-        self.node[won] = first + at[hit[lead]]
-        self.node_pos[won] = pos[at[hit[lead]]]
 
 
 # ======== path load ========

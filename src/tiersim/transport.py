@@ -10,17 +10,19 @@ Primary packets do not hop between primary nodes. An active source cell
 broadcasts one packet per activation; the packet is split into N segments
 picked up by relays in the next path cell, carried across the secondary grid
 as one atomic bundle, and handed to the destination inside an admitted
-collection region. The deployment holds a node in every secondary cell, so
-every carried pair has a handover node and every secondary path runs over
-all cells of its HV path; a packet is dropped only when its relay cell holds
-fewer than N secondary nodes. Sources are saturated: an occupied cell
-transmits every time it is active, sources within a cell taking turns. A cell
-is active once every PHASES frames, so at frame t its turn is t // PHASES
-modulo its source count. Bundles are rows of one table indexed by bundle id
-in launch order; a bundle holds the secondary cell it is in and steps by the
-HV rule toward its int-dest's cell, so no bundle path is stored. The bundles
-in flight and the delivery roster are arrays of bundle ids. The primary delay
-and roster wait are summed from the table's frame stamps when metrics are read.
+collection region by its int-dest: the designated relay of the penultimate
+path cell's secondary cell nearest the sink cell's centre. The deployment
+holds a node in every secondary cell, so every cell has a relay and every
+path runs over all cells of its HV path, relay to relay; a packet is dropped
+only when its relay cell holds fewer than N secondary nodes. Sources are
+saturated: an occupied cell transmits every time it is active, sources
+within a cell taking turns. A cell is active once every PHASES frames, so at
+frame t its turn is t // PHASES modulo its source count. Bundles are rows of
+one table indexed by bundle id in launch order; a bundle holds the secondary
+cell it is in and steps by the HV rule toward its int-dest's cell, so no
+bundle path is stored. The bundles in flight and the delivery roster are
+arrays of bundle ids. The primary delay and roster wait are summed from the
+table's frame stamps when metrics are read.
 
 Secondary node 2i sends to node 2i + 1. Positions are i.i.d. in node-id
 order, so that is a uniform random matching in law; the pairs are read in
@@ -36,12 +38,12 @@ position's head packet hops, so a pair delivers in injection order, and a
 delivered packet's birth follows from how many the pair delivered before it.
 
 Secondary positions are not held by the deployment. Set-up regenerates them
-once, in one pass, and keeps those a plain frame reads: the relays', the
-int-dests' and the sampled pairs' ends. Only the SINR audit regenerates
-more: the receivers of the broadcasts it takes and the lead relay of a
-bundle's first hop. It takes each frame's broadcasts as drawn, the emitting
-pairs and their relay ids, and audits the first AUDIT_BROADCASTS of its
-window, each at its first AUDIT_RX_CAP relays.
+once, in one pass, and keeps those a plain frame reads: the relays' (every
+int-dest is one) and the sampled pairs' ends. Only the SINR audit
+regenerates more: the receivers of the broadcasts it takes and the lead
+relay of a bundle's first hop. It takes each frame's broadcasts as drawn,
+the emitting pairs and their relay ids, and audits the first
+AUDIT_BROADCASTS of its window, each at its first AUDIT_RX_CAP relays.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .deployment import (
     ConfigurationError,
     Deployment,
 )
-from .routing import HandoverSearch, RelayAssignment, hv_path_cells, hv_step, path_load_census
+from .routing import RelayAssignment, hv_path_cells, hv_step, path_load_census
 from .scheduler import (
     PHASES,
     TICKS,
@@ -163,9 +165,9 @@ class TransportSim:
         self.p_p = phy.tx_power(self.gp.cell_area, self.cfg.alpha)
         self.p_s = phy.tx_power(self.gs.cell_area, self.cfg.alpha)
 
-        handover_keys = self._setup_primary()
+        self._setup_primary()
         self._setup_secondary()
-        self._setup_positions(*handover_keys)
+        self._setup_positions()
         self._setup_schedule()
 
         # counters
@@ -189,9 +191,11 @@ class TransportSim:
 
     # ======== setup ========
 
-    def _setup_primary(self) -> tuple:
-        """Closed-form primary paths; returns the (penultimate cell, sink
-        cell) handover keys, sorted, and each carried pair's key."""
+    def _setup_primary(self) -> None:
+        """Closed-form primary paths and int-dest cells. The int-dest is the
+        relay of the penultimate cell's secondary cell nearest the sink
+        cell's centre; per axis that is ((2s + 1) q) // 2 clipped into the
+        penultimate cell, so on an even q the higher index wins a tie."""
         dep = self.dep
         pairs = dep.primary_pairs
         self.pairs_p = pairs
@@ -207,12 +211,14 @@ class TransportSim:
         self.pair_direct = self.pair_path_len <= 2
         carried = ~self.pair_direct
         # path[-2]: a step from the sink toward the path's turn, or its source if straight
-        penult = hv_step(dst_cells, np.where(dy != sy, dx * k + sy, src_cells), k)
+        px, py = np.divmod(hv_step(dst_cells, np.where(dy != sy, dx * k + sy, src_cells), k), k)
         self.pair_relay_cell = np.where(carried, hv_step(src_cells, dst_cells, k), -1)
+        q = self.k_s // k
+        ix = np.clip((2 * dx + 1) * q // 2, px * q, px * q + q - 1)
+        iy = np.clip((2 * dy + 1) * q // 2, py * q, py * q + q - 1)
+        self.pair_int_dest_cell = np.where(carried, ix * self.k_s + iy, -1)
         # pairs grouped by their source's cell
         self.sources = CellIndex(src_cells, np.bincount(src_cells, minlength=cell_count))
-        # the handover node depends only on (penultimate cell, sink cell)
-        return np.unique(penult[carried] * cell_count + dst_cells[carried], return_inverse=True)
 
     def _setup_secondary(self) -> None:
         """The census over every secondary pair and the sampled pairs' paths.
@@ -249,11 +255,10 @@ class TransportSim:
         self.out_s = np.zeros(take, dtype=np.int64)  # packets delivered per pair
         self.n_sampled = take
 
-    def _setup_positions(self, keys: np.ndarray, key_of: np.ndarray) -> None:
+    def _setup_positions(self) -> None:
         """One regeneration pass over the secondary positions, in node-id
-        order: it finds each handover key's node (HandoverSearch) and keeps
-        every position a plain frame reads, the int-dests', the relays' and
-        the sampled pairs' ends."""
+        order, that keeps every position a plain frame reads: the relays'
+        (every int-dest is one) and the sampled pairs' ends."""
         # cells sorted by tick (cell order within a tick): the audit's
         # candidate transmitters, one relay each
         self.relay_cells = np.argsort(self.sigma_s, kind="stable")
@@ -264,20 +269,9 @@ class TransportSim:
         by_id = np.argsort(wanted, kind="stable")
         ids = wanted[by_id]
         held = np.empty((len(wanted), 2))
-
-        search = HandoverSearch(self.dep, keys)
         for i, pos in self.sec_pos.chunks():
             lo, hi = np.searchsorted(ids, (i, i + len(pos)))
             held[by_id[lo:hi]] = pos[ids[lo:hi] - i]
-            search.update(i, pos)
-
-        carried = ~self.pair_direct
-        self.pair_int_dest = np.full(self.n_pairs_p, -1, dtype=np.int64)
-        self.pair_int_dest[carried] = search.node[key_of]
-        self.pair_int_dest_pos = np.full((self.n_pairs_p, 2), np.nan)
-        self.pair_int_dest_pos[carried] = search.node_pos[key_of]
-        self.pair_int_dest_cell = np.full(self.n_pairs_p, -1, dtype=np.int64)
-        self.pair_int_dest_cell[carried] = self.dep.secondary_cells[search.node[key_of]]
         self.relay_tx_pos, self.s_src_pos, self.s_dst_pos = np.split(
             held, np.cumsum([len(self.relay_cells), self.n_sampled]))
 
@@ -422,8 +416,7 @@ class TransportSim:
         dest = self.pair_int_dest_cell[pairs[hop]]
         new_cell = hv_step(sent, dest, self.k_s)
         tab["cell"][moved] = new_cell
-        arrived = new_cell == dest
-        done = moved[arrived]
+        done = moved[new_cell == dest]
         if len(done):
             tab["arrival"][done] = t  # joins the delivery roster next frame
             self.pending = np.concatenate([self.pending, done])
@@ -436,9 +429,8 @@ class TransportSim:
         lead = np.flatnonzero(sent == self.dep.secondary_cells[tab["lead"][moved]])
         if len(lead):
             tx[lead] = self.sec_pos.take(tab["lead"][moved[lead]])
-        rx = np.where(arrived[:, None], self.pair_int_dest_pos[pairs[hop]],
-                      self.relay_tx_pos[self.relay_row[new_cell]])
-        return tx, rx, sent
+        # the int-dest is its cell's relay, so every hop lands on a relay
+        return tx, self.relay_tx_pos[self.relay_row[new_cell]], sent
 
     def _deliver(self, t: int, open_row: np.ndarray) -> tuple:
         """Subframe 3: greedy clear collection regions, one packet per sink node;
@@ -455,11 +447,12 @@ class TransportSim:
                                                 self.k_s // self.k_p))
         if not admitted:
             return NO_HOPS
-        # one packet per int-dest, the first ready in roster order. The pairs
-        # are a matching, so a sink node's one pair fixes its int-dest, and a
-        # busy sink node always means a busy int-dest.
+        # one packet per int-dest, the first ready in roster order. A cell has
+        # one relay, so int-dests are told apart by their cells. The pairs are
+        # a matching, so a sink node's one pair fixes its int-dest, and a busy
+        # sink node always means a busy int-dest.
         take = np.array([i for i, sink in enumerate(sinks) if sink in admitted], dtype=np.int64)
-        int_dest = self.pair_int_dest[pairs[take]]
+        int_dest = self.pair_int_dest_cell[pairs[take]]
         if len(set(int_dest.tolist())) < len(take):
             _, first = np.unique(int_dest, return_index=True)
             first.sort()
@@ -474,8 +467,8 @@ class TransportSim:
                 self.records.append(PacketRecord(
                     len(self.records) + 1, PRIMARY, 3 * born, 3 * t + 2, length,
                     self.n_relays))
-        return (self.pair_int_dest_pos[pairs], self.pri_pos[self.pairs_p[pairs, 1]],
-                self.pair_sink[pairs])
+        return (self.relay_tx_pos[self.relay_row[int_dest]],
+                self.pri_pos[self.pairs_p[pairs, 1]], self.pair_sink[pairs])
 
     # ======== SINR audit ========
 

@@ -3,8 +3,7 @@
 On a 5 x 5 primary grid refined 10 times, x = 0.2 - 1 ulp lies in primary
 column 0 by its position (x * 5 rounds below 1) but in secondary column 10
 (x * 50 rounds up to 10), the first of primary column 1's block. Node
-BORDER_NODE is planted there, on row 2's centre line; it comes after the
-handover search's pilot nodes, so only the narrowed search can measure it.
+BORDER_NODE is planted there, on row 2's centre line.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ def reference_broadcast(sim: TransportSim, sec_pos: np.ndarray, t: int) -> tuple
             lead_pos=sec_pos[lead].copy(),
             sink_cell=int(sim.pair_sink[pair]),
             dst_node=int(sim.pairs_p[pair, 1]),
-            int_dest=int(sim.pair_int_dest[pair]))
+            int_dest=int(sim.sec_relay[sim.pair_int_dest_cell[pair]]))
         if len(path) == 1:
             reference_arrived(sim, bundle, t)
         else:

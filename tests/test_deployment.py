@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from border_node import border_deployment
-from int_dest_reference import reference_primary_setup
 from secondary_positions import secondary_positions
 
 from tiersim import deployment
@@ -225,31 +224,6 @@ def test_deployment_positions_equal_sample_ppp():
     rng = rng_streams(9)[0]
     assert np.array_equal(sample_ppp(64, rng), dep.primary_pos)
     assert np.array_equal(secondary_positions(dep), sample_ppp(64**2, rng))
-
-
-@pytest.mark.parametrize("chunk", [deployment.CHUNK, 1000])
-def test_int_dest_scan_equals_reference(chunk, monkeypatch):
-    # The handover search is a running minimum over chunks of regenerated
-    # positions. Positions snapped to a 1/64 lattice put about 16 nodes on
-    # each point, so exact ties are common, and chunks of 1000 split them
-    # across chunk boundaries: the lowest node id must still win.
-    monkeypatch.setattr(deployment, "CHUNK", chunk)
-    draw = PositionStream.chunks
-
-    def snapped(stream, *args):
-        for i, pos in draw(stream, *args):
-            yield i, (np.floor(pos * 64) + 0.5) / 64
-
-    monkeypatch.setattr(PositionStream, "chunks", snapped)
-    sim = prepare(SimConfig(n=256, frames=8, warmup_frames=0, seed=5))
-    want = reference_primary_setup(sim.dep)
-    for name in ("pair_int_dest", "pair_int_dest_cell"):
-        assert np.array_equal(getattr(sim, name), want[name]), name
-    pos = secondary_positions(sim.dep)
-    int_dests = sim.pair_int_dest[sim.pair_int_dest >= 0]
-    assert np.array_equal(sim.pair_int_dest_pos[sim.pair_int_dest >= 0], pos[int_dests])
-    # the run had ties: another node sits on some int-dest's point
-    assert any((pos == pos[node]).all(axis=1).sum() > 1 for node in int_dests)
 
 
 # ======== pairing ========

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from border_node import BORDER_NODE, BORDER_X, border_deployment
 from capture_law import TAIL_LEVEL, capture_pool
 from secondary_index import SecondaryIndex
 from tiersim import deployment, routing
 from tiersim.deployment import ConfigurationError, SimConfig, build_deployment, primary_cell_area
-from tiersim.routing import (HandoverSearch, hv_path_cells, hv_step, path_load_census,
-                             select_relays)
+from tiersim.routing import hv_path_cells, hv_step, path_load_census, select_relays
 
 
 def flat(x, y, k):
@@ -132,21 +130,6 @@ def test_single_node_cell_is_forced(monkeypatch):
     monkeypatch.setattr(deployment.PositionStream, "chunks", moved)
     with pytest.raises(ConfigurationError, match="hold no node"):
         build_deployment(cfg)
-
-
-def test_handover_search_looks_across_a_rounding_border(monkeypatch):
-    # the planted node's position lies in primary column 0, but its secondary
-    # column 10 makes it a member of primary cell 7 = (1, 2), whose member
-    # nearest the centre of cell 2 = (0, 2) it is
-    dep = border_deployment(monkeypatch)
-    assert dep.secondary_cells[BORDER_NODE] // 50 == 10
-    assert BORDER_NODE in dep.secondary_index_primary_grid.members(7)
-    assert BORDER_NODE not in dep.secondary_index_primary_grid.members(2)
-    search = HandoverSearch(dep, np.array([7 * 25 + 2]))
-    for i, pos in dep.secondary_pos.chunks():
-        search.update(i, pos)
-    assert search.node[0] == BORDER_NODE
-    assert np.array_equal(search.node_pos[0], (BORDER_X, 0.5))
 
 
 def test_relay_lives_in_its_cell():

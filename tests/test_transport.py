@@ -12,6 +12,7 @@ from bundle_reference import reference_sums, reference_trace, use_reference_bund
 from int_dest_reference import reference_primary_setup
 from queue_reference import use_reference_queue
 from region_reference import phase_rects, place_collection_regions as rect_admission, rect_blocked
+from secondary_positions import secondary_positions
 from sent_cells import watch_sent_cells
 
 from tiersim import deployment, routing, transport
@@ -310,6 +311,13 @@ def test_primary_setup_equals_per_pair_reference(n, ap_scale):
     sim = prepare(SimConfig(n=n, ap_scale=ap_scale, frames=8, warmup_frames=0, seed=5))
     assert (~sim.pair_direct).any()
     assert_primary_setup_equals_reference(sim)
+    # a handover is sent from the relay of its int-dest cell, at that relay's position
+    for pair in carried_pairs(sim):
+        launch_arrived(sim, pair, 0)
+    tx, _, _ = sim._deliver(1, open_sinks(sim))
+    done = np.flatnonzero(sim.table["delivered"][: sim.n_launched] == 1)
+    relays = sim.sec_relay[sim.pair_int_dest_cell[sim.table["pair"][done]]]
+    assert len(done) and np.array_equal(tx, secondary_positions(sim.dep)[relays])
 
 
 def test_primary_setup_empty_penultimate_cell(monkeypatch):
@@ -424,12 +432,12 @@ def test_preservation_rect_freezes_traffic():
 
 
 def carried_pairs(sim):
-    return np.flatnonzero(~sim.pair_direct & (sim.pair_int_dest >= 0)).tolist()
+    return np.flatnonzero(~sim.pair_direct & (sim.pair_int_dest_cell >= 0)).tolist()
 
 
 def launch_arrived(sim, pair, t):
     """Launch a bundle of pair led by its int-dest, so it arrives in frame t."""
-    return sim._launch(t, pair, int(sim.pair_int_dest[pair]))
+    return sim._launch(t, pair, int(sim.sec_relay[sim.pair_int_dest_cell[pair]]))
 
 
 def lead_node(sim, pair, hops):
@@ -504,7 +512,7 @@ def pairs_sharing_a_sink(sim):
     for i, a in enumerate(pairs):
         for b in pairs[i + 1:]:
             if (sim.pair_sink[a] == sim.pair_sink[b]
-                    and sim.pair_int_dest[a] != sim.pair_int_dest[b]):
+                    and sim.pair_int_dest_cell[a] != sim.pair_int_dest_cell[b]):
                 return a, b
     pytest.fail("no two carried pairs share a sink cell")
 
