@@ -44,11 +44,19 @@ regenerates more: the receivers of the broadcasts it takes and the lead
 relay of a bundle's first hop. It takes each frame's broadcasts as drawn,
 the emitting pairs and their relay ids, and audits the first
 AUDIT_BROADCASTS of its window, each at its first AUDIT_RX_CAP relays.
+A broadcast's ticks are summed in groups, one power block each; the groups
+are split into AUDIT_WORKERS contiguous runs, one per CPU the process may run
+on, the first summed on the calling thread and the others on a thread pool.
+Each receiver keeps its largest tick sum, and a maximum is exact in any
+order, so no result depends on the worker count. Restrict the process's CPU
+affinity (taskset) to use fewer.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +90,9 @@ INJECT_EVERY = 2           # secondary source period, frames per packet
 AUDIT_BROADCASTS = 64      # broadcasts fully audited across all ticks
 AUDIT_RX_CAP = 64          # relay receivers sampled per audited broadcast
 AUDIT_BLOCK_COLS = 512     # broadcast audit: one power block per run of ticks starting in 512 relays
+# broadcast audit: tick groups split over this process's CPUs (taskset limits them)
+AUDIT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
 AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
 SAMPLE_PAIRS = 256         # secondary pairs simulated per run
 
@@ -126,6 +137,47 @@ class PacketRecord:
 # and was delivered, -1 until then
 BUNDLE = np.dtype([(name, np.int64) for name in (
     "pair", "born", "lead", "cell", "arrival", "delivered")])
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_pid = -1
+
+
+def _audit_pool() -> ThreadPoolExecutor:
+    """The AUDIT_WORKERS - 1 helper threads of the broadcast audit, made on
+    first use and made again in a forked child, which has none of them."""
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        _pool = ThreadPoolExecutor(AUDIT_WORKERS - 1, thread_name_prefix="tiersim-audit")
+        _pool_pid = os.getpid()
+    return _pool
+
+
+def _split_groups(edges: np.ndarray, cols: np.ndarray, runs: int) -> list:
+    """edges (tick-group boundaries) cut into at most runs contiguous runs of
+    whole groups with about equal column counts; each run is its own edges."""
+    at = cols[edges]
+    cuts = np.unique(np.r_[0, np.searchsorted(at, at[-1] * np.arange(1, runs) / runs),
+                           len(edges) - 1])
+    return [edges[i : j + 1] for i, j in zip(cuts[:-1], cuts[1:])]
+
+
+def _tick_max(edges, cols, rx_x, rx_y, xs, ys, power, alpha, tail) -> np.ndarray:
+    """Each receiver's largest tick row sum over the tick groups that edges
+    bounds. Tick i's row is the power of its live relays, columns
+    cols[i]:cols[i + 1] of xs, ys, then tail, the other broadcasts' power.
+    Writes no shared state, so runs of groups may go to different threads."""
+    most = np.full(len(rx_x), -np.inf)
+    cols = cols.tolist()
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        a, b = cols[lo], cols[hi]
+        block = phy.received_power(rx_x, rx_y, xs[a:b], ys[a:b], power, alpha)
+        for c0, c1 in zip(cols[lo:hi], cols[lo + 1 : hi + 1]):
+            row = block[:, c0 - a : c1 - a]
+            if tail.shape[1]:
+                row = np.concatenate([row, tail], axis=1)
+            np.maximum(most, np.add.reduce(row, axis=1), out=most)
+    return most
 
 
 def _grow(a: np.ndarray, size: int) -> np.ndarray:
@@ -502,7 +554,8 @@ class TransportSim:
         # start in one AUDIT_BLOCK_COLS window, so a block is at most a tick wider
         xs, ys = np.take(self.relay_tx_pos, live_rows, axis=0).T.copy()
         edges = np.r_[0, np.flatnonzero(np.diff(bounds[:-1] // AUDIT_BLOCK_COLS)) + 1, TICKS]
-        cols = bounds.tolist()
+        # the first run of groups is summed on this thread, the rest on the pool
+        first, *rest = _split_groups(edges, bounds, AUDIT_WORKERS)
         for j, (src_pos, pair, ids) in enumerate(zip(bc_pos, audited.tolist(), relays)):
             # the first AUDIT_RX_CAP relays, regenerated, or a direct handoff's destination
             rx = (self.sec_pos.take(ids[:AUDIT_RX_CAP]) if len(ids)
@@ -513,17 +566,17 @@ class TransportSim:
             other_bc = np.delete(bc_pos, j, axis=0)
             bc_power = phy.received_power(rx_x, rx_y, other_bc[:, 0], other_bc[:, 1],
                                           self.p_p, alpha)
-            # the delivery subframe runs concurrently with the broadcast slot
-            most = phy.interference_at(rx, np.vstack([deliv_tx, other_bc]), self.p_p, alpha)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                a, b = cols[lo], cols[hi]
-                block = phy.received_power(rx_x, rx_y, xs[a:b], ys[a:b], self.p_s, alpha)
-                for c0, c1 in zip(cols[lo:hi], cols[lo + 1 : hi + 1]):
-                    # a tick's row is [its live relays, the other broadcasts]
-                    row = block[:, c0 - a : c1 - a]
-                    if len(other_bc):
-                        row = np.concatenate([row, bc_power], axis=1)
-                    np.maximum(most, np.add.reduce(row, axis=1), out=most)
+            args = (bounds, rx_x, rx_y, xs, ys, self.p_s, alpha, bc_power)
+            helpers = [_audit_pool().submit(_tick_max, run, *args) for run in rest]
+            try:
+                # the delivery subframe runs concurrently with the broadcast slot
+                most = phy.interference_at(rx, np.vstack([deliv_tx, other_bc]), self.p_p, alpha)
+                np.maximum(most, _tick_max(first, *args), out=most)
+            finally:
+                # a ValueError leaves only once no pool thread reads this frame
+                wait(helpers)
+            for helper in helpers:
+                np.maximum(most, helper.result(), out=most)
             # IEEE add and divide are monotone, so the least SINR over the
             # ticks and the delivery subframe is the one with the most interference
             self.report.record("primary", signal / (noise + most))

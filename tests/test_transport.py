@@ -1,6 +1,10 @@
 """Transport tests: segmentation math, subframe stepping, delivery accounting."""
 
 import math
+import multiprocessing
+import os
+import threading
+import time
 from collections import Counter, defaultdict
 from functools import partial
 
@@ -654,29 +658,64 @@ def audit_values(sim, audit, already_audited, *frame):
     return sim.report
 
 
+# AUDIT_WORKERS values the audit must give equal numbers under: the calling
+# thread alone, fewer runs of tick groups than groups, and more runs than
+# groups (each group its own run)
+WORKER_COUNTS = (1, 2, 3, 64)
+
+
+def record_submits(monkeypatch) -> list:
+    """Every future the broadcast audit submits to its thread pool."""
+    futures = []
+    pool = transport._audit_pool
+
+    class Recording:
+        def submit(self, *args):
+            futures.append(pool().submit(*args))
+            return futures[-1]
+
+    monkeypatch.setattr(transport, "_audit_pool", Recording)
+    return futures
+
+
 @pytest.mark.parametrize("block_cols", [transport.AUDIT_BLOCK_COLS, 16])
 @pytest.mark.parametrize("already_audited", [0, AUDIT_BROADCASTS - 2])
 def test_multi_broadcast_audit_equals_reference(already_audited, block_cols, monkeypatch):
     # no benchmark or acceptance deployment has two active source cells in
-    # one phase, so the other-broadcast rows are only reached here
+    # one phase, so the other-broadcast rows are only reached here. Every
+    # worker count runs on the same frames, so none may change a value.
     monkeypatch.setattr(transport, "AUDIT_BLOCK_COLS", block_cols)
     sim = make_sim(n=128.0, seed=3, frames=96, warmup=16)
     rng = np.random.default_rng(17)
     for t in (16, 40):
         frame = (t, *crafted_frame(sim, rng))
-        got = audit_values(sim, sim._audit_frame, already_audited, *frame)
         want = audit_values(sim, partial(reference_audit_frame, sim), already_audited, *frame)
         audited_rx = [AUDIT_RX_CAP, 5, 1][: AUDIT_BROADCASTS - already_audited]
         assert want.samples == {"primary": sum(audited_rx), "delivery": 3, "secondary": 4}
-        assert got.samples == want.samples
-        assert got.values["primary"] == want.values["primary"]
-        assert got.values["delivery"] == want.values["delivery"]
-        assert sorted(got.values["secondary"]) == sorted(want.values["secondary"])
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(transport, "AUDIT_WORKERS", workers)
+            got = audit_values(sim, sim._audit_frame, already_audited, *frame)
+            assert got.samples == want.samples
+            assert got.values["primary"] == want.values["primary"]
+            assert got.values["delivery"] == want.values["delivery"]
+            assert sorted(got.values["secondary"]) == sorted(want.values["secondary"])
 
 
 def test_broadcast_audit_raises_on_relay_in_middle_tick(monkeypatch):
-    # 16-relay blocks put the middle tick in a middle power block
+    # 16-relay blocks put the middle tick in a middle power block, summed by
+    # the calling thread or by a pool thread as the worker count decides
     monkeypatch.setattr(transport, "AUDIT_BLOCK_COLS", 16)
+    submitted = record_submits(monkeypatch)
+    tick_max = transport._tick_max
+
+    def late_on_pool(*args):
+        # pool threads finish late, so an error that leaves the audit
+        # before every pool thread is done shows
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.005)
+        return tick_max(*args)
+
+    monkeypatch.setattr(transport, "_tick_max", late_on_pool)
     sim = make_sim(n=128.0, seed=3, frames=96, warmup=16)
     t = 16
     sent, relays, _, deliveries = crafted_frame(sim, np.random.default_rng(5))
@@ -684,10 +723,65 @@ def test_broadcast_audit_raises_on_relay_in_middle_tick(monkeypatch):
     ticks = sim.sigma_s[sim.relay_cells[live]]
     row = live[np.argmin(np.abs(ticks - TICKS // 2))]
     relays[1][2] = sim.sec_relay[sim.relay_cells[row]]
-    for audit in (sim._audit_frame, partial(reference_audit_frame, sim)):
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(transport, "AUDIT_WORKERS", workers)
         sim._audited_broadcasts = 0
         with pytest.raises(ValueError, match="interferer"):
-            audit(t, sent, relays, NO_HOPS, deliveries)
+            sim._audit_frame(t, sent, relays, NO_HOPS, deliveries)
+        assert all(future.done() for future in submitted)
+    assert submitted
+    sim._audited_broadcasts = 0
+    with pytest.raises(ValueError, match="interferer"):
+        reference_audit_frame(sim, t, sent, relays, NO_HOPS, deliveries)
+
+
+def test_single_group_frames_submit_nothing(monkeypatch):
+    # k_s = 8: 64 cells, fewer than AUDIT_BLOCK_COLS, so each frame's ticks
+    # form one group, summed on the calling thread whatever the worker count
+    monkeypatch.setattr(transport, "AUDIT_WORKERS", 64)
+    submitted = record_submits(monkeypatch)
+    sim = make_sim(n=256.0, seed=1, frames=96, warmup=16, ap_scale=4.0)
+    assert sim.k_s ** 2 < transport.AUDIT_BLOCK_COLS
+    sim.run()
+    assert sim.report.samples["primary"] > 0
+    assert not submitted
+
+
+def audited_point(conn) -> None:
+    """Run an audited n = 128 point and send its RateReport down conn. At
+    n = 64 a broadcast frame's preservation region silences every secondary
+    cell, so that audit has no tick groups to split."""
+    sim = make_sim(n=128.0, frames=96, warmup=16)
+    sim.run()
+    conn.send(sim.report)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_audits_after_parent_used_the_pool(monkeypatch):
+    # small blocks and two workers, so the parent's audit starts pool
+    # threads, which a forked child does not inherit
+    monkeypatch.setattr(transport, "_pool", None)
+    monkeypatch.setattr(transport, "_pool_pid", -1)
+    monkeypatch.setattr(transport, "AUDIT_BLOCK_COLS", 16)
+    monkeypatch.setattr(transport, "AUDIT_WORKERS", 2)
+    receive, send = multiprocessing.Pipe(duplex=False)
+    audited_point(send)
+    parent = receive.recv()
+    assert parent.samples["primary"] > 0
+    assert transport._pool_pid == os.getpid()
+    child = multiprocessing.get_context("fork").Process(target=audited_point, args=(send,))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's audited run did not finish"
+        assert receive.recv() == parent
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        transport._pool.shutdown()
+    assert child.exitcode == 0
 
 
 def test_broadcast_budget_runs_out_through_step():
