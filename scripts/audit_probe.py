@@ -3,9 +3,9 @@
     PYTHONPATH=src python3 scripts/audit_probe.py --n 1024 --seed 0
 
 Builds the same run twice with harness.prepare, once with
-transport.AUDIT_WORKERS patched to 1 and once at its default (the CPUs this
-process may run on; taskset limits them), and steps each through its SINR
-audit window. It times every call of TransportSim._audit_frame and prints
+deployment.WORKERS patched to 1 and once at its default (the CPUs this
+process may run on; taskset limits them), so set-up runs at the same count,
+and steps each through its SINR audit window. It times every call of TransportSim._audit_frame and prints
 one JSON line per worker count: the median over the audited frames, and
 the median and p99.5 (nearest rank) over the frames that audit a
 broadcast, in ms.
@@ -25,7 +25,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from tiersim import harness, transport  # noqa: E402
+from tiersim import deployment, harness  # noqa: E402
 from tiersim.deployment import SimConfig  # noqa: E402
 from tiersim.transport import RunOptions  # noqa: E402
 
@@ -37,7 +37,7 @@ def nearest_rank(values, q: float) -> float:
 
 def timed_run(cfg: SimConfig, options: RunOptions, workers: int):
     """The run's RateReport, and (ms, audits a broadcast) per audited frame."""
-    transport.AUDIT_WORKERS = workers
+    deployment.WORKERS = workers
     sim = harness.prepare(cfg, options)
     audit = sim._audit_frame
     frames = []
@@ -65,7 +65,7 @@ def main() -> None:
                     warmup_frames=args.warmup, seed=args.seed)
     options = RunOptions(audit_frames=args.audit_frames)
     reports = []
-    for workers in (1, transport.AUDIT_WORKERS):
+    for workers in (1, deployment.WORKERS):
         report, frames = timed_run(cfg, options, workers)
         reports.append(report)
         broadcast = [ms for ms, took in frames if took]

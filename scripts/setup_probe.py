@@ -3,8 +3,10 @@
     PYTHONPATH=src python3 scripts/setup_probe.py --n 4096 --seed 0
 
 Builds one run with harness.prepare (deployment, relays, TransportSim),
-steps it for --frames frames, and prints one JSON line: setup_s (host
-seconds of prepare), peak_rss_mb (ru_maxrss of this process when the frames
+steps it for --frames frames, and prints one JSON line: workers (the
+threads set-up's node passes split over, deployment.WORKERS: the CPUs this
+process may run on, so taskset -c 0 gives 1), setup_s (host seconds of
+prepare), peak_rss_mb (ru_maxrss of this process when the frames
 are done), the peak so far after each set-up layer (peak_rss_mb_after:
 build_deployment, select_relays, TransportSim), the node counts, the fewest
 secondary nodes in a secondary cell (build_deployment rejects 0), the bytes
@@ -28,7 +30,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from tiersim import harness  # noqa: E402
+from tiersim import deployment, harness  # noqa: E402
 from tiersim.deployment import SimConfig  # noqa: E402
 
 
@@ -84,7 +86,7 @@ def main() -> None:
     dep = sim.dep  # its per-node secondary arrays are held for the whole run
     held = dep.secondary_cells.nbytes + dep.secondary_index_primary_grid.order.nbytes
     print(json.dumps({
-        "n": args.n, "seed": args.seed, "frames": args.frames,
+        "n": args.n, "seed": args.seed, "frames": args.frames, "workers": deployment.WORKERS,
         "k_p": sim.k_p, "k_s": sim.k_s,
         "primaries": len(sim.pri_pos), "secondaries": len(sim.sec_pos),
         "min_secondary_per_cell": int(dep.secondary_counts.min()),

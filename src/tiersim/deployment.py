@@ -7,12 +7,23 @@ refinement of the primary one. Primary nodes are matched into directed
 source-destination pairs by a random draw; secondary node 2i sends to node
 2i + 1, a uniform random matching in law, since positions are i.i.d. in id
 order.
+
+Set-up's O(m) node passes (the cell pass and the member index here, the
+relay pick and the path census in routing, the position pass in transport)
+and transport's broadcast audit share one thread pool. Each splits its work
+into at most WORKERS contiguous runs, one per CPU the process may run on
+(taskset limits them), the first on the calling thread and the others on the
+pool. A run writes only its own slice or returns integer counts to be
+summed, and a pass that carries per-cell counts from chunk to chunk starts
+each run at the counts of the runs before it, so no result depends on the
+worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,7 +223,70 @@ SECONDARY_NODE_BYTES = 12
 # node ids are held as int32 and uint32; the margin is 20+ standard
 # deviations of the Poisson node count
 ID_LIMIT = 2**31 - 2**20
-CHUNK = 1 << 16  # nodes or pairs per pass where an O(m) temporary would otherwise form
+# nodes or pairs in flight at once, over all workers together, where an O(m)
+# temporary would otherwise form
+CHUNK = 1 << 16
+# the CPUs this process may run on (taskset limits them)
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+_pool: ThreadPoolExecutor | None = None
+_pool_pid = -1
+
+
+def worker_pool() -> ThreadPoolExecutor:
+    """The WORKERS - 1 helper threads of set-up and of the broadcast audit,
+    made on first use and made again in a forked child, which has none of them."""
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="tiersim")
+        _pool_pid = os.getpid()
+    return _pool
+
+
+def on_workers(fn, runs: list) -> list:
+    """[fn(*run) for run in runs], the first run on the calling thread and the
+    others on worker_pool(). It returns, or raises the first error, only once
+    every run is done, so no pool thread still works on the caller's arrays."""
+    helpers = [worker_pool().submit(fn, *run) for run in runs[1:]]
+    try:
+        first = fn(*runs[0])
+    finally:
+        wait(helpers)
+    return [first] + [helper.result() for helper in helpers]
+
+
+def node_ranges(count: int, cells: int = 0, chunk: int | None = None) -> tuple[int, list]:
+    """A pass over count nodes (or pairs) as at most WORKERS contiguous ranges
+    of whole chunks, one per worker. A chunk is max(chunk // WORKERS, cells)
+    nodes (chunk defaults to CHUNK), so the workers hold about chunk nodes at
+    once between them, and a pass that also costs O(cells) per chunk spends
+    no more on that than on its nodes. Such a pass also holds O(cells) per
+    worker, so it takes no more workers than keep that to max(chunk,
+    count / 4) between them. Returns the chunk size and each range's
+    (first, end), in order."""
+    chunk = chunk or CHUNK
+    step = max(chunk // WORKERS, cells, 1)
+    runs = max(1, min(WORKERS, max(chunk, count // 4) // step))
+    chunks = -(-count // step)
+    span = step * max(1, -(-chunks // runs))
+    return step, [(i, min(i + span, count)) for i in range(0, count, span)] or [(0, 0)]
+
+
+def range_cursors(cells_of, ranges: list, step: int, start: np.ndarray) -> np.ndarray:
+    """For a pass that carries a per-cell cursor from chunk to chunk, each
+    range's cursor at its first node: start plus the nodes of each cell in
+    the ranges before it, one row per range. cells_of(i, j) gives the cells
+    of nodes i..j - 1; the counts are taken a chunk at a time."""
+    def count(first, end):
+        here = np.zeros(len(start), dtype=np.int64)
+        for i in range(first, end, step):
+            here += np.bincount(cells_of(i, i + step), minlength=len(start))
+        return here
+
+    # the last range's counts move no cursor
+    before = on_workers(count, ranges[:-1]) if len(ranges) > 1 else []
+    return np.cumsum([start] + before, axis=0)
 
 
 def resume(state: dict) -> np.random.Generator:
@@ -243,13 +317,15 @@ class PositionStream:
     def __len__(self) -> int:
         return self.count
 
-    def chunks(self, size: int | None = None):
+    def chunks(self, size: int | None = None, first: int = 0, end: int | None = None):
         """(first id, positions) of consecutive runs of size (default CHUNK)
-        nodes, in id order."""
+        nodes, in id order, over the nodes first..end - 1 (default all)."""
         size = size or CHUNK
+        end = self.count if end is None else end
         rng = resume(self.state)
-        for i in range(0, self.count, size):
-            yield i, rng.random((min(size, self.count - i), 2))
+        rng.bit_generator.advance(2 * first)
+        for i in range(first, end, size):
+            yield i, rng.random((min(size, end - i), 2))
 
     def take(self, ids) -> np.ndarray:
         """Positions of the nodes ids, (len(ids), 2)."""
@@ -279,19 +355,25 @@ class CellIndex:
     def __init__(self, keys: np.ndarray, counts: np.ndarray, table: np.ndarray | None = None):
         self.counts = counts
         self.starts = np.concatenate([[0], np.cumsum(counts)])
-        # np.argsort(cells, kind="stable") placed a chunk at a time: a chunk's
-        # members of a cell go after those of the chunks before it
         self.order = np.empty(len(keys), dtype=np.uint32)
-        cursor = self.starts[:-1].copy()
-        for i in range(0, len(keys), CHUNK):
-            chunk = keys[i : i + CHUNK]
-            if table is not None:
-                chunk = table[chunk]
-            here = np.bincount(chunk, minlength=len(counts))
-            by = np.argsort(chunk, kind="stable")  # numpy radix-sorts uint16 keys
-            shift = cursor - (np.cumsum(here) - here)
-            self.order[shift[chunk[by]] + np.arange(len(by))] = by + i
-            cursor += here
+        step, ranges = node_ranges(len(keys), len(counts))
+
+        def cells_of(i, j):
+            return keys[i:j] if table is None else np.take(table, keys[i:j])
+
+        def place(first, end, cursor):
+            # np.argsort(cells, kind="stable") placed a chunk at a time: a
+            # chunk's members of a cell go after those of the chunks before it
+            for i in range(first, end, step):
+                chunk = cells_of(i, i + step)
+                here = np.bincount(chunk, minlength=len(counts))
+                by = np.argsort(chunk, kind="stable")  # numpy radix-sorts uint16 keys
+                shift = cursor - (np.cumsum(here) - here)
+                self.order[np.take(shift, np.take(chunk, by)) + np.arange(len(by))] = by + i
+                cursor += here
+
+        cursors = range_cursors(cells_of, ranges, step, self.starts[:-1])
+        on_workers(place, [(*r, cursor) for r, cursor in zip(ranges, cursors)])
 
     def members(self, cell: int) -> np.ndarray:
         return self.order[self.starts[cell] : self.starts[cell + 1]]
@@ -372,11 +454,17 @@ def build_deployment(config: SimConfig) -> Deployment:
     # also costs O(cells)
     secondary_cells = np.empty(len(secondary_pos),
                                dtype=np.min_scalar_type(s_grid.cell_count - 1))
-    secondary_counts = np.zeros(s_grid.cell_count, dtype=np.int64)
-    for i, pos in secondary_pos.chunks(max(CHUNK, s_grid.cell_count)):
-        cells = s_grid.cell_of(pos)
-        secondary_cells[i : i + len(pos)] = cells
-        secondary_counts += np.bincount(cells, minlength=s_grid.cell_count)
+    step, ranges = node_ranges(len(secondary_pos), s_grid.cell_count)
+
+    def place(first, end):
+        counts = np.zeros(s_grid.cell_count, dtype=np.int64)
+        for i, pos in secondary_pos.chunks(step, first, end):
+            cells = s_grid.cell_of(pos)
+            secondary_cells[i : i + len(pos)] = cells
+            counts += np.bincount(cells, minlength=s_grid.cell_count)
+        return counts
+
+    secondary_counts = sum(on_workers(place, ranges))
     empty = int((secondary_counts == 0).sum())
     if empty:
         raise ConfigurationError(

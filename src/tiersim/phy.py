@@ -8,7 +8,8 @@ cell diagonal independent of the cell size. received_power is the one
 place that evaluates P * d**(-alpha); interference_at and sinr_at sum and
 divide its blocks, and the broadcast audit slices one block per tick group.
 The transport layer splits those tick groups over the process's CPUs (taskset
-limits them); no result depends on how many.
+limits them), on the one worker pool that set-up's node passes also use
+(deployment.on_workers); no result depends on how many.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ for the capture check; primary packets travel on relays drawn per broadcast.
 build_deployment rejects a deployment with an empty secondary cell, so every
 cell of both grids holds a secondary node and every secondary cell has a
 relay. A designated relay also hands each carried primary packet over: its
-int-dest, whose cell transport fixes at set-up.
+int-dest, whose cell transport fixes at set-up. The relay pick and the path
+census are the O(m) node passes of set-up here; each runs on the package's
+one worker pool (deployment.on_workers), and no result depends on the
+worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deployment import CHUNK, Deployment
+from .deployment import CHUNK, Deployment, node_ranges, on_workers, range_cursors
 
 __all__ = [
     "RelayAssignment",
@@ -74,21 +77,28 @@ class RelayAssignment:
 
 def _pick_by_rank(cells: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Uniform member choice per cell: the member of rank floor(u * count) in
-    node-id order, found in one chunked pass over cells."""
+    node-id order, found in one chunked pass over cells, split over the
+    workers. A range writes only the picks that lie in it."""
     rank = (u * counts).astype(np.int64)
     chosen = np.full(len(counts), -1, dtype=np.int64)
-    seen = np.zeros(len(counts), dtype=np.int64)  # members in earlier chunks
-    step = max(CHUNK, len(counts))  # a pass also costs O(cells)
-    for i in range(0, len(cells), step):
-        chunk = cells[i : i + step]
-        here = np.bincount(chunk, minlength=len(counts))
-        # only cells whose pick lies in this chunk need ranks within it
-        ids = np.flatnonzero(((seen <= rank) & (rank < seen + here))[chunk])
-        ids = ids[np.argsort(chunk[ids], kind="stable")]
-        key = chunk[ids].astype(np.int64)
-        hit = seen[key] + np.arange(len(key)) - np.searchsorted(key, key) == rank[key]
-        chosen[key[hit]] = ids[hit] + i
-        seen += here
+    # a pass also costs O(cells)
+    step, ranges = node_ranges(len(cells), len(counts), CHUNK)
+
+    def pick(first, end, seen):  # seen: members in earlier chunks
+        for i in range(first, end, step):
+            chunk = cells[i : i + step]
+            here = np.bincount(chunk, minlength=len(counts))
+            # only cells whose pick lies in this chunk need ranks within it
+            ids = np.flatnonzero(((seen <= rank) & (rank < seen + here))[chunk])
+            ids = ids[np.argsort(chunk[ids], kind="stable")]
+            key = chunk[ids].astype(np.int64)
+            hit = seen[key] + np.arange(len(key)) - np.searchsorted(key, key) == rank[key]
+            chosen[key[hit]] = ids[hit] + i
+            seen += here
+
+    seen = range_cursors(lambda i, j: cells[i:j], ranges, step,
+                         np.zeros(len(counts), dtype=np.int64))
+    on_workers(pick, [(*r, s) for r, s in zip(ranges, seen)])
     return chosen
 
 
@@ -130,27 +140,33 @@ def path_load_census(pairs_cells: np.ndarray, k: int) -> np.ndarray:
     its vertical run at column dx excluding row sy (counted once at the turn),
     as the ends of runs in two difference arrays, integrated once at the end.
 
-    The pairs are read in passes of max(CHUNK, k^2), each widened to int64
-    (unsigned differences would wrap), so the temporaries stay bounded. A
-    pass costs O(its pairs + k^2) for its bincounts, so the census costs
-    O(P + k^2 * passes).
+    The pairs are read in passes of max(CHUNK / WORKERS, k^2), each widened
+    to int64 (unsigned differences would wrap), so the temporaries stay
+    bounded. A pass costs O(its pairs + k^2) for its bincounts, so the census
+    costs O(P + k^2 * passes). The workers take contiguous ranges of passes,
+    and their integer difference arrays are summed.
     """
     size = (k + 1) * k
-    diff_h = np.zeros(size, dtype=np.int64)
-    diff_v = np.zeros(size, dtype=np.int64)
-    step = max(CHUNK, k * k)
-    for i in range(0, len(pairs_cells), step):
-        chunk = pairs_cells[i : i + step].astype(np.int64)
-        sx, sy = np.divmod(chunk[:, 0], k)
-        dx, dy = np.divmod(chunk[:, 1], k)
-        # horizontal run: row sy, columns min(sx,dx)..max(sx,dx)
-        diff_h += np.bincount(np.minimum(sx, dx) * k + sy, minlength=size)
-        diff_h -= np.bincount((np.maximum(sx, dx) + 1) * k + sy, minlength=size)
-        # vertical run: column dx, rows between sy (exclusive) and dy (inclusive)
-        vert = dy != sy
-        col = dx[vert] * (k + 1)
-        diff_v += np.bincount(col + np.where(dy > sy, sy + 1, dy)[vert], minlength=size)
-        diff_v -= np.bincount(col + np.where(dy > sy, dy, sy - 1)[vert] + 1, minlength=size)
+    step, ranges = node_ranges(len(pairs_cells), k * k, CHUNK)
+
+    def diffs(first, end):
+        diff_h = np.zeros(size, dtype=np.int64)
+        diff_v = np.zeros(size, dtype=np.int64)
+        for i in range(first, end, step):
+            chunk = pairs_cells[i : i + step].astype(np.int64)
+            sx, sy = np.divmod(chunk[:, 0], k)
+            dx, dy = np.divmod(chunk[:, 1], k)
+            # horizontal run: row sy, columns min(sx,dx)..max(sx,dx)
+            diff_h += np.bincount(np.minimum(sx, dx) * k + sy, minlength=size)
+            diff_h -= np.bincount((np.maximum(sx, dx) + 1) * k + sy, minlength=size)
+            # vertical run: column dx, rows between sy (exclusive) and dy (inclusive)
+            vert = dy != sy
+            col = dx[vert] * (k + 1)
+            diff_v += np.bincount(col + np.where(dy > sy, sy + 1, dy)[vert], minlength=size)
+            diff_v -= np.bincount(col + np.where(dy > sy, dy, sy - 1)[vert] + 1, minlength=size)
+        return diff_h, diff_v
+
+    diff_h, diff_v = (sum(d) for d in zip(*on_workers(diffs, ranges)))
     counts = np.cumsum(diff_h.reshape(k + 1, k), axis=0)[:k]
     counts += np.cumsum(diff_v.reshape(k, k + 1), axis=1)[:, :k]
     return counts.ravel()

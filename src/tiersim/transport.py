@@ -39,35 +39,37 @@ delivered packet's birth follows from how many the pair delivered before it.
 
 Secondary positions are not held by the deployment. Set-up regenerates them
 once, in one pass, and keeps those a plain frame reads: the relays' (every
-int-dest is one) and the sampled pairs' ends. Only the SINR audit
-regenerates more: the receivers of the broadcasts it takes and the lead
-relay of a bundle's first hop. It takes each frame's broadcasts as drawn,
-the emitting pairs and their relay ids, and audits the first
-AUDIT_BROADCASTS of its window, each at its first AUDIT_RX_CAP relays.
-A broadcast's ticks are summed in groups, one power block each; the groups
-are split into AUDIT_WORKERS contiguous runs, one per CPU the process may run
-on, the first summed on the calling thread and the others on a thread pool.
-Each receiver keeps its largest tick sum, and a maximum is exact in any
-order, so no result depends on the worker count. Restrict the process's CPU
-affinity (taskset) to use fewer.
+int-dest is one) and the sampled pairs' ends. The pass is split into
+contiguous node ranges on the worker pool that every set-up pass shares
+(deployment.on_workers); each range starts its stream at its first node and
+writes only its own nodes' rows. Only the SINR audit regenerates more: the
+receivers of the broadcasts it takes and the lead relay of a bundle's first
+hop. It takes each frame's broadcasts as drawn, the emitting pairs and their
+relay ids, and audits the first AUDIT_BROADCASTS of its window, each at its
+first AUDIT_RX_CAP relays. A broadcast's ticks are summed in groups, one
+power block each; the groups are split into deployment.WORKERS contiguous
+runs, one per CPU the process may run on, the first summed on the calling
+thread and the others on that same pool. Each receiver keeps its largest
+tick sum, and a maximum is exact in any order, so no result depends on the
+worker count. Restrict the process's CPU affinity (taskset) to use fewer.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import phy
+from . import deployment, phy
 from .deployment import (
     PRIMARY,
     SECONDARY,
     CellIndex,
     ConfigurationError,
     Deployment,
+    node_ranges,
+    on_workers,
 )
 from .routing import RelayAssignment, hv_path_cells, hv_step, path_load_census
 from .scheduler import (
@@ -90,9 +92,6 @@ INJECT_EVERY = 2           # secondary source period, frames per packet
 AUDIT_BROADCASTS = 64      # broadcasts fully audited across all ticks
 AUDIT_RX_CAP = 64          # relay receivers sampled per audited broadcast
 AUDIT_BLOCK_COLS = 512     # broadcast audit: one power block per run of ticks starting in 512 relays
-# broadcast audit: tick groups split over this process's CPUs (taskset limits them)
-AUDIT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
 AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
 SAMPLE_PAIRS = 256         # secondary pairs simulated per run
 
@@ -137,20 +136,6 @@ class PacketRecord:
 # and was delivered, -1 until then
 BUNDLE = np.dtype([(name, np.int64) for name in (
     "pair", "born", "lead", "cell", "arrival", "delivered")])
-
-
-_pool: ThreadPoolExecutor | None = None
-_pool_pid = -1
-
-
-def _audit_pool() -> ThreadPoolExecutor:
-    """The AUDIT_WORKERS - 1 helper threads of the broadcast audit, made on
-    first use and made again in a forked child, which has none of them."""
-    global _pool, _pool_pid
-    if _pool_pid != os.getpid():
-        _pool = ThreadPoolExecutor(AUDIT_WORKERS - 1, thread_name_prefix="tiersim-audit")
-        _pool_pid = os.getpid()
-    return _pool
 
 
 def _split_groups(edges: np.ndarray, cols: np.ndarray, runs: int) -> list:
@@ -310,7 +295,8 @@ class TransportSim:
     def _setup_positions(self) -> None:
         """One regeneration pass over the secondary positions, in node-id
         order, that keeps every position a plain frame reads: the relays'
-        (every int-dest is one) and the sampled pairs' ends."""
+        (every int-dest is one) and the sampled pairs' ends. Each worker
+        regenerates one range of nodes and fills only its nodes' rows."""
         # cells sorted by tick (cell order within a tick): the audit's
         # candidate transmitters, one relay each
         self.relay_cells = np.argsort(self.sigma_s, kind="stable")
@@ -321,9 +307,14 @@ class TransportSim:
         by_id = np.argsort(wanted, kind="stable")
         ids = wanted[by_id]
         held = np.empty((len(wanted), 2))
-        for i, pos in self.sec_pos.chunks():
-            lo, hi = np.searchsorted(ids, (i, i + len(pos)))
-            held[by_id[lo:hi]] = pos[ids[lo:hi] - i]
+        step, ranges = node_ranges(len(self.sec_pos))
+
+        def gather(first, end):
+            for i, pos in self.sec_pos.chunks(step, first, end):
+                lo, hi = np.searchsorted(ids, (i, i + len(pos)))
+                held[by_id[lo:hi]] = pos[ids[lo:hi] - i]
+
+        on_workers(gather, ranges)
         self.relay_tx_pos, self.s_src_pos, self.s_dst_pos = np.split(
             held, np.cumsum([len(self.relay_cells), self.n_sampled]))
 
@@ -554,8 +545,7 @@ class TransportSim:
         # start in one AUDIT_BLOCK_COLS window, so a block is at most a tick wider
         xs, ys = np.take(self.relay_tx_pos, live_rows, axis=0).T.copy()
         edges = np.r_[0, np.flatnonzero(np.diff(bounds[:-1] // AUDIT_BLOCK_COLS)) + 1, TICKS]
-        # the first run of groups is summed on this thread, the rest on the pool
-        first, *rest = _split_groups(edges, bounds, AUDIT_WORKERS)
+        runs = _split_groups(edges, bounds, deployment.WORKERS)
         for j, (src_pos, pair, ids) in enumerate(zip(bc_pos, audited.tolist(), relays)):
             # the first AUDIT_RX_CAP relays, regenerated, or a direct handoff's destination
             rx = (self.sec_pos.take(ids[:AUDIT_RX_CAP]) if len(ids)
@@ -566,17 +556,11 @@ class TransportSim:
             other_bc = np.delete(bc_pos, j, axis=0)
             bc_power = phy.received_power(rx_x, rx_y, other_bc[:, 0], other_bc[:, 1],
                                           self.p_p, alpha)
+            # the delivery subframe runs concurrently with the broadcast slot
+            most = phy.interference_at(rx, np.vstack([deliv_tx, other_bc]), self.p_p, alpha)
             args = (bounds, rx_x, rx_y, xs, ys, self.p_s, alpha, bc_power)
-            helpers = [_audit_pool().submit(_tick_max, run, *args) for run in rest]
-            try:
-                # the delivery subframe runs concurrently with the broadcast slot
-                most = phy.interference_at(rx, np.vstack([deliv_tx, other_bc]), self.p_p, alpha)
-                np.maximum(most, _tick_max(first, *args), out=most)
-            finally:
-                # a ValueError leaves only once no pool thread reads this frame
-                wait(helpers)
-            for helper in helpers:
-                np.maximum(most, helper.result(), out=most)
+            for part in on_workers(_tick_max, [(run, *args) for run in runs]):
+                np.maximum(most, part, out=most)
             # IEEE add and divide are monotone, so the least SINR over the
             # ticks and the delivery subframe is the one with the most interference
             self.report.record("primary", signal / (noise + most))

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import time
 from collections import Counter, defaultdict
@@ -23,7 +24,7 @@ from tiersim import deployment, routing, transport
 from tiersim.deployment import ConfigurationError, SimConfig
 from tiersim.harness import prepare, trace_packet
 from tiersim.phy import RateReport
-from tiersim.routing import hv_path_cells
+from tiersim.routing import hv_path_cells, path_load_census
 from tiersim.scheduler import PHASES, TICKS, clear_sinks
 from tiersim.transport import (AUDIT_BROADCASTS, AUDIT_RX_CAP, NO_HOPS, RunOptions,
                                relay_count)
@@ -290,7 +291,7 @@ def test_census_counts_every_consecutive_pair(monkeypatch):
         censuses.clear()
         sim = make_sim(n=n, seed=seed, frames=8, warmup=0)
         assert len(censuses) == 1
-        # the census's pass size is max(CHUNK, k_s**2) pairs
+        # the census's pass size is at most max(CHUNK, k_s**2) pairs
         assert max(routing.CHUNK, sim.gs.cell_count) < sim.n_pairs_s
         cells = sim.dep.secondary_cells.astype(np.int64)
         want = np.zeros(sim.gs.cell_count, dtype=np.int64)
@@ -658,23 +659,74 @@ def audit_values(sim, audit, already_audited, *frame):
     return sim.report
 
 
-# AUDIT_WORKERS values the audit must give equal numbers under: the calling
+# WORKERS values the audit must give equal numbers under: the calling
 # thread alone, fewer runs of tick groups than groups, and more runs than
 # groups (each group its own run)
 WORKER_COUNTS = (1, 2, 3, 64)
 
 
+def setup_arrays(n: float, seed: int) -> dict:
+    """The set-up arrays that the split node passes write, by name."""
+    sim = make_sim(n=n, seed=seed, frames=8, warmup=0)
+    dep = sim.dep
+    return {
+        "secondary_cells": dep.secondary_cells,
+        "secondary_counts": dep.secondary_counts,
+        "order": dep.secondary_index_primary_grid.order,
+        "secondary_relay": sim.sec_relay,
+        "census": path_load_census(
+            dep.secondary_cells[: 2 * sim.n_pairs_s].reshape(-1, 2), sim.k_s),
+        "relay_tx_pos": sim.relay_tx_pos,
+        "s_src_pos": sim.s_src_pos,
+        "s_dst_pos": sim.s_dst_pos,
+    }
+
+
+@pytest.mark.parametrize("n, chunk", [(128.0, 1000), (512.0, deployment.CHUNK)])
+def test_worker_count_never_changes_a_setup_array(monkeypatch, n, chunk):
+    # n = 128 holds about 16 k secondary nodes on 324 cells, so 1000-node
+    # chunks make dozens per pass; n = 512 holds about 262 k, several real
+    # CHUNKs. Either way a pass splits into ranges of unequal length whose
+    # last chunk is short
+    monkeypatch.setattr(deployment, "CHUNK", chunk)
+    monkeypatch.setattr(routing, "CHUNK", chunk)
+    monkeypatch.setattr(deployment, "_pool", None)
+    monkeypatch.setattr(deployment, "_pool_pid", -1)
+    interval = sys.getswitchinterval()
+    want = None
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(deployment, "WORKERS", workers)
+        # each count gets a pool of its own workers - 1 threads, so 64 runs on
+        # more threads than cores, switching often, where a lost write shows
+        deployment._pool_pid = -1
+        sys.setswitchinterval(1e-5)
+        try:
+            got = setup_arrays(n, seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+            if deployment._pool is not None:
+                deployment._pool.shutdown()
+        want = want or got
+        for name, array in want.items():
+            assert got[name].dtype == array.dtype, (workers, name)
+            assert np.array_equal(got[name], array), (workers, name)
+        count, cells = len(got["secondary_cells"]), len(got["secondary_counts"])
+        step, ranges = deployment.node_ranges(count, cells)
+        if workers > 1:
+            assert len({hi - lo for lo, hi in ranges}) > 1 and count % step
+
+
 def record_submits(monkeypatch) -> list:
     """Every future the broadcast audit submits to its thread pool."""
     futures = []
-    pool = transport._audit_pool
+    pool = deployment.worker_pool
 
     class Recording:
         def submit(self, *args):
             futures.append(pool().submit(*args))
             return futures[-1]
 
-    monkeypatch.setattr(transport, "_audit_pool", Recording)
+    monkeypatch.setattr(deployment, "worker_pool", Recording)
     return futures
 
 
@@ -693,7 +745,7 @@ def test_multi_broadcast_audit_equals_reference(already_audited, block_cols, mon
         audited_rx = [AUDIT_RX_CAP, 5, 1][: AUDIT_BROADCASTS - already_audited]
         assert want.samples == {"primary": sum(audited_rx), "delivery": 3, "secondary": 4}
         for workers in WORKER_COUNTS:
-            monkeypatch.setattr(transport, "AUDIT_WORKERS", workers)
+            monkeypatch.setattr(deployment, "WORKERS", workers)
             got = audit_values(sim, sim._audit_frame, already_audited, *frame)
             assert got.samples == want.samples
             assert got.values["primary"] == want.values["primary"]
@@ -724,7 +776,7 @@ def test_broadcast_audit_raises_on_relay_in_middle_tick(monkeypatch):
     row = live[np.argmin(np.abs(ticks - TICKS // 2))]
     relays[1][2] = sim.sec_relay[sim.relay_cells[row]]
     for workers in WORKER_COUNTS:
-        monkeypatch.setattr(transport, "AUDIT_WORKERS", workers)
+        monkeypatch.setattr(deployment, "WORKERS", workers)
         sim._audited_broadcasts = 0
         with pytest.raises(ValueError, match="interferer"):
             sim._audit_frame(t, sent, relays, NO_HOPS, deliveries)
@@ -738,49 +790,68 @@ def test_broadcast_audit_raises_on_relay_in_middle_tick(monkeypatch):
 def test_single_group_frames_submit_nothing(monkeypatch):
     # k_s = 8: 64 cells, fewer than AUDIT_BLOCK_COLS, so each frame's ticks
     # form one group, summed on the calling thread whatever the worker count
-    monkeypatch.setattr(transport, "AUDIT_WORKERS", 64)
-    submitted = record_submits(monkeypatch)
+    monkeypatch.setattr(deployment, "WORKERS", 64)
+    # set-up's node passes share the pool, so recording starts with the frames
     sim = make_sim(n=256.0, seed=1, frames=96, warmup=16, ap_scale=4.0)
+    submitted = record_submits(monkeypatch)
     assert sim.k_s ** 2 < transport.AUDIT_BLOCK_COLS
     sim.run()
     assert sim.report.samples["primary"] > 0
     assert not submitted
 
 
-def audited_point(conn) -> None:
-    """Run an audited n = 128 point and send its RateReport down conn. At
-    n = 64 a broadcast frame's preservation region silences every secondary
-    cell, so that audit has no tick groups to split."""
+def audited_point(conn, pool_pids: list) -> None:
+    """Run an audited n = 128 point and send down conn its RateReport and the
+    process that made the pool, at each pool use of set-up and of the frames
+    (worker_pool must append it to pool_pids). At n = 64 a broadcast frame's
+    preservation region silences every secondary cell, so that audit has no
+    tick groups to split."""
+    pool_pids.clear()
     sim = make_sim(n=128.0, frames=96, warmup=16)
+    setup = len(pool_pids)
     sim.run()
-    conn.send(sim.report)
+    conn.send((sim.report, pool_pids[:setup], pool_pids[setup:]))
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 def test_forked_child_audits_after_parent_used_the_pool(monkeypatch):
-    # small blocks and two workers, so the parent's audit starts pool
-    # threads, which a forked child does not inherit
-    monkeypatch.setattr(transport, "_pool", None)
-    monkeypatch.setattr(transport, "_pool_pid", -1)
+    # small chunks, small blocks and two workers, so the parent's set-up and
+    # audit start pool threads, which a forked child does not inherit
+    monkeypatch.setattr(deployment, "_pool", None)
+    monkeypatch.setattr(deployment, "_pool_pid", -1)
+    monkeypatch.setattr(deployment, "CHUNK", 4096)
+    monkeypatch.setattr(routing, "CHUNK", 4096)
     monkeypatch.setattr(transport, "AUDIT_BLOCK_COLS", 16)
-    monkeypatch.setattr(transport, "AUDIT_WORKERS", 2)
+    monkeypatch.setattr(deployment, "WORKERS", 2)
+    pool, pool_pids = deployment.worker_pool, []
+
+    def recorded():
+        made = pool()
+        pool_pids.append(deployment._pool_pid)
+        return made
+
+    monkeypatch.setattr(deployment, "worker_pool", recorded)
     receive, send = multiprocessing.Pipe(duplex=False)
-    audited_point(send)
-    parent = receive.recv()
+    audited_point(send, pool_pids)
+    parent, setup, audit = receive.recv()
     assert parent.samples["primary"] > 0
-    assert transport._pool_pid == os.getpid()
-    child = multiprocessing.get_context("fork").Process(target=audited_point, args=(send,))
+    assert setup and audit and set(setup + audit) == {os.getpid()}
+    child = multiprocessing.get_context("fork").Process(target=audited_point,
+                                                        args=(send, pool_pids))
     child.start()
     try:
         assert receive.poll(60), "the forked child's audited run did not finish"
-        assert receive.recv() == parent
+        report, setup, audit = receive.recv()
+        assert report == parent
+        # set-up and audit both ran on a pool the child made
+        assert setup and audit and set(setup + audit) == {child.pid}
     finally:
         child.join(10)
         if child.is_alive():
             child.kill()
             child.join()
-        transport._pool.shutdown()
+        deployment._pool.shutdown()
     assert child.exitcode == 0
 
 
