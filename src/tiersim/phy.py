@@ -6,7 +6,8 @@ scheduled reception would sustain a positive constant rate. Power follows
 the cell-area rule a**(alpha/2), which makes the received power across one
 cell diagonal independent of the cell size. received_power is the one
 place that evaluates P * d**(-alpha); interference_at and sinr_at sum and
-divide its blocks, and the broadcast audit slices one block per tick group.
+divide its blocks, the broadcast audit slices one block per tick group, and
+the secondary-hop audit one padded block per frame.
 The transport layer splits those tick groups over the process's CPUs (taskset
 limits them), on the one worker pool that set-up's node passes also use
 (deployment.on_workers); no result depends on how many.

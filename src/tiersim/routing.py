@@ -140,20 +140,22 @@ def path_load_census(pairs_cells: np.ndarray, k: int) -> np.ndarray:
     its vertical run at column dx excluding row sy (counted once at the turn),
     as the ends of runs in two difference arrays, integrated once at the end.
 
-    The pairs are read in passes of max(CHUNK / WORKERS, k^2), each widened
-    to int64 (unsigned differences would wrap), so the temporaries stay
-    bounded. A pass costs O(its pairs + k^2) for its bincounts, so the census
-    costs O(P + k^2 * passes). The workers take contiguous ranges of passes,
-    and their integer difference arrays are summed.
+    The workers take contiguous ranges of passes of max(CHUNK, k^2) / WORKERS
+    pairs, so between them they hold one pass of max(CHUNK, k^2) pairs, each
+    widened to a signed type that holds every bin (unsigned differences
+    would wrap); each keeps its own two difference arrays, summed at the
+    end. A pass costs O(its pairs + k^2) for its bincounts, so it takes no
+    fewer than k^2 / 2 pairs, and the census costs O(P + k^2 * passes).
     """
     size = (k + 1) * k
-    step, ranges = node_ranges(len(pairs_cells), k * k, CHUNK)
+    signed = np.int32 if size < 2**31 else np.int64
+    step, ranges = node_ranges(len(pairs_cells), k * k // 2, max(CHUNK, k * k))
 
     def diffs(first, end):
         diff_h = np.zeros(size, dtype=np.int64)
         diff_v = np.zeros(size, dtype=np.int64)
         for i in range(first, end, step):
-            chunk = pairs_cells[i : i + step].astype(np.int64)
+            chunk = pairs_cells[i : i + step].astype(signed)
             sx, sy = np.divmod(chunk[:, 0], k)
             dx, dy = np.divmod(chunk[:, 1], k)
             # horizontal run: row sy, columns min(sx,dx)..max(sx,dx)

@@ -36,6 +36,9 @@ Sampled packets are held as queue lengths, one per position of each pair's
 path, and a pair's path is held once, as its block of queue cells. Only a
 position's head packet hops, so a pair delivers in injection order, and a
 delivered packet's birth follows from how many the pair delivered before it.
+Set-up tables each queue position's open phases (q_open) and the node that
+keeps its packets (q_pos), so a frame's queue step gathers nothing and an
+audited hop reads both its ends in place.
 
 Secondary positions are not held by the deployment. Set-up regenerates them
 once, in one pass, and keeps those a plain frame reads: the relays' (every
@@ -44,14 +47,16 @@ contiguous node ranges on the worker pool that every set-up pass shares
 (deployment.on_workers); each range starts its stream at its first node and
 writes only its own nodes' rows. Only the SINR audit regenerates more: the
 receivers of the broadcasts it takes and the lead relay of a bundle's first
-hop. It takes each frame's broadcasts as drawn, the emitting pairs and their
-relay ids, and audits the first AUDIT_BROADCASTS of its window, each at its
-first AUDIT_RX_CAP relays. A broadcast's ticks are summed in groups, one
-power block each; the groups are split into deployment.WORKERS contiguous
-runs, one per CPU the process may run on, the first summed on the calling
-thread and the others on that same pool. Each receiver keeps its largest
-tick sum, and a maximum is exact in any order, so no result depends on the
-worker count. Restrict the process's CPU affinity (taskset) to use fewer.
+hop. It sums a frame's secondary hops from one padded power block whose
+padding is never summed, so each sum is bit-identical to a one-hop call. It
+takes each frame's broadcasts as drawn, the emitting pairs and their relay
+ids, and audits the first AUDIT_BROADCASTS of its window, each at its first
+AUDIT_RX_CAP relays. A broadcast's ticks are summed in groups, one power
+block each; the groups are split into deployment.WORKERS contiguous runs,
+one per CPU the process may run on, the first summed on the calling thread
+and the others on that same pool. Each receiver keeps its largest tick sum,
+and a maximum is exact in any order, so no result depends on the worker
+count. Restrict the process's CPU affinity (taskset) to use fewer.
 """
 
 from __future__ import annotations
@@ -93,6 +98,7 @@ AUDIT_BROADCASTS = 64      # broadcasts fully audited across all ticks
 AUDIT_RX_CAP = 64          # relay receivers sampled per audited broadcast
 AUDIT_BLOCK_COLS = 512     # broadcast audit: one power block per run of ticks starting in 512 relays
 AUDIT_HOPS_PER_FRAME = 8   # secondary-tier hops audited per frame
+AUDIT_HOP_ENTRIES = 1 << 16  # hop audit: power-block entries per batch of hops
 SAMPLE_PAIRS = 256         # secondary pairs simulated per run
 
 # a subframe's transmissions as (transmitter (H,2), receiver (H,2), cell (H,))
@@ -295,18 +301,20 @@ class TransportSim:
     def _setup_positions(self) -> None:
         """One regeneration pass over the secondary positions, in node-id
         order, that keeps every position a plain frame reads: the relays'
-        (every int-dest is one) and the sampled pairs' ends. Each worker
-        regenerates one range of nodes and fills only its nodes' rows."""
+        (every int-dest is one) and the sampled pairs' ends, laid out per
+        queue position in q_pos. Each worker regenerates one range of nodes
+        and fills only its nodes' rows."""
         # cells sorted by tick (cell order within a tick): the audit's
         # candidate transmitters, one relay each
         self.relay_cells = np.argsort(self.sigma_s, kind="stable")
         self.relay_tick_bounds = np.searchsorted(
             self.sigma_s[self.relay_cells], np.arange(TICKS + 1))
         self.relay_row = np.argsort(self.relay_cells)
-        wanted = np.concatenate([self.sec_relay[self.relay_cells], self.s_src, self.s_dst])
+        wanted = np.concatenate([self.s_src, self.s_dst, self.sec_relay[self.relay_cells]])
         by_id = np.argsort(wanted, kind="stable")
         ids = wanted[by_id]
-        held = np.empty((len(wanted), 2))
+        # the row after the relays' is the hop audit's sentinel, at +inf
+        held = np.full((len(wanted) + 1, 2), np.inf)
         step, ranges = node_ranges(len(self.sec_pos))
 
         def gather(first, end):
@@ -315,8 +323,13 @@ class TransportSim:
                 held[by_id[lo:hi]] = pos[ids[lo:hi] - i]
 
         on_workers(gather, ranges)
-        self.relay_tx_pos, self.s_src_pos, self.s_dst_pos = np.split(
-            held, np.cumsum([len(self.relay_cells), self.n_sampled]))
+        src_pos, dst_pos, self.relay_tx_pos = np.split(held, [self.n_sampled, 2 * self.n_sampled])
+        # q_pos[i]: the node that keeps queue position i's packets, the pair's
+        # source at its first position, its destination at its last, else the
+        # cell's relay; a hop i -> i - 1 is sent from q_pos[i] to q_pos[i - 1]
+        self.q_pos = np.take(self.relay_tx_pos, self.relay_row[self.q_cell], axis=0)
+        self.q_pos[self.path_off + self.plen - 1] = src_pos
+        self.q_pos[self.path_off] = dst_pos
 
     def _setup_schedule(self) -> None:
         occupied = np.flatnonzero(self.sources.counts > 0)
@@ -331,6 +344,9 @@ class TransportSim:
             self.phase_cells.append(cells)
             self.blocked[phase] = preservation_regions(cells, self.k_p, refine)
             self.sink_open[phase] = clear_sinks(cells, self.k_p, refine)
+        # q_open[phase]: the queue positions whose cell is open; take makes
+        # the rows C-contiguous, so a frame reads one row at memory speed
+        self.q_open = ~self.blocked.take(self.q_cell, axis=1)
 
     # ======== per-frame mechanics ========
 
@@ -392,15 +408,16 @@ class TransportSim:
         self.cnt += 1
         self.injected_s += self.n_sampled
 
-    def _advance_secondary(self, t: int, blocked: np.ndarray) -> tuple:
-        """Subframe 1: one hop per unblocked cell per path, eldest packet first.
+    def _advance_secondary(self, t: int, open_q: np.ndarray) -> tuple:
+        """Subframe 1: one hop per path position where open_q (a mask over
+        the queue positions) holds, eldest packet first.
 
         Only a position's head packet hops, so a pair's packets never
         overtake each other: the k-th delivered was the k-th injected, born
         in frame INJECT_EVERY * k, and no per-packet birth is stored.
         """
         q = self.q
-        move = (q > 0) & ~blocked[self.q_cell]
+        move = (q > 0) & open_q
         q -= move
         # a pair's last position is emptied every frame, so no hop crosses blocks
         q[:-1] += move[1:]
@@ -408,14 +425,7 @@ class TransportSim:
         moved_hops = NO_HOPS
         if self._in_audit(t):
             first = np.flatnonzero(move)[:AUDIT_HOPS_PER_FRAME]
-            rows = np.searchsorted(self.path_off, first, side="right") - 1
-            prev = self.q_cell[first]
-            new = self.q_cell[first - 1]
-            tx = np.where((first == self.path_off[rows] + self.plen[rows] - 1)[:, None],
-                          self.s_src_pos[rows], self.relay_tx_pos[self.relay_row[prev]])
-            rx = np.where((first - 1 == self.path_off[rows])[:, None],
-                          self.s_dst_pos[rows], self.relay_tx_pos[self.relay_row[new]])
-            moved_hops = (tx, rx, prev)
+            moved_hops = (self.q_pos[first], self.q_pos[first - 1], self.q_cell[first])
 
         last = self.path_off
         rows = np.flatnonzero(q[last])
@@ -569,44 +579,62 @@ class TransportSim:
         """Every secondary hop against its tick's other live cells and the broadcasts.
 
         A hop's interferer row is its tick's run of live relay_cells rows
-        without its own cell, then bc_pos. Rows of one length go to
-        phy.sinr_at as one batch: equal-length contiguous rows keep each
-        row's sum bit-identical to a one-row call, which padding or
-        segmented sums would not.
+        without its own cell, then bc_pos. One padded power block holds the
+        rows of every hop: column j of row h is the hop's j-th interferer, and
+        columns past its row point at a sentinel at +inf, whose power is 0 and
+        which is never co-located. Padding changes no sum, because no padded
+        column is summed: rows of one width are cut at that width and reduced
+        as one contiguous batch, which sums each row bit-identically to a
+        one-row call. A frame with more than AUDIT_HOP_ENTRIES entries takes
+        its block in batches of whole rows, so the temporaries stay bounded.
         """
         tx, rx, cells = hops
         if not len(cells):
             return
+        alpha, n_bc = self.cfg.alpha, len(bc_pos)
         tick = self.sigma_s[cells]
         start = bounds[tick]
         row = self.relay_row[cells]
         own = live[row]
-        n_live = bounds[tick + 1] - start - own
+        width = bounds[tick + 1] - start - own
         # offset of the hop's own cell inside its tick's run; past the run if absent
-        skip = np.where(own, np.searchsorted(live_rows, row) - start, n_live)
-        bc_pow = np.full(len(bc_pos), self.p_p)
-        for width in np.unique(n_live):
-            g = np.flatnonzero(n_live == width)
-            j = np.arange(width)
-            rows = live_rows[start[g, None] + j + (j >= skip[g, None])]
-            int_pos = np.concatenate([np.take(self.relay_tx_pos, rows, axis=0),
-                                      np.broadcast_to(bc_pos, (len(g), *bc_pos.shape))],
-                                     axis=1)
-            int_pow = np.concatenate([np.full(width, self.p_s), bc_pow])
-            s = phy.sinr_at(rx[g], tx[g], self.p_s, int_pos, int_pow,
-                            self.cfg.noise, self.cfg.alpha)
-            self.report.record("secondary", s)
+        skip = np.where(own, np.searchsorted(live_rows, row) - start, width)
+        tx_rows = np.append(live_rows, len(self.relay_cells))  # then the sentinel's row
+        rx_x, rx_y = rx[:, 0, None], rx[:, 1, None]
+        interference = np.empty(len(cells))
+        per = max(1, AUDIT_HOP_ENTRIES // (int(width.max()) + n_bc + 1))  # rows per batch
+        for lo in range(0, len(cells), per):
+            b, w = slice(lo, lo + per), width[lo : lo + per]
+            # column j of hop h: the j-th live relay of its tick, its own cell
+            # skipped, then past its width the sentinel, whose first n_bc
+            # columns then take the broadcasts' power
+            j = np.arange(w.max() + n_bc)
+            at = start[b, None] + j
+            at += j >= skip[b, None]
+            at[j >= w[:, None]] = len(live_rows)
+            at = tx_rows[at]
+            power = phy.received_power(rx_x[b], rx_y[b], self.relay_tx_pos[:, 0][at],
+                                       self.relay_tx_pos[:, 1][at], self.p_s, alpha)
+            if n_bc:  # each row's broadcasts follow its relays
+                power[np.arange(len(w))[:, None], w[:, None] + np.arange(n_bc)] = (
+                    phy.received_power(rx_x[b], rx_y[b], bc_pos[:, 0], bc_pos[:, 1],
+                                       self.p_p, alpha))
+            for width_g in set(w.tolist()):
+                g = np.flatnonzero(w == width_g)
+                interference[lo + g] = np.add.reduce(power[g, : width_g + n_bc], axis=1)
+        signal = phy.received_power(rx[:, 0], rx[:, 1], tx[:, 0], tx[:, 1], self.p_s, alpha,
+                                    "transmitter")
+        self.report.record("secondary", signal / (self.cfg.noise + interference))
 
     # ======== driver ========
 
     def step(self) -> None:
         t = self.frame
         phase = t % PHASES
-        blocked = self.blocked[phase]
         sent, relays = self._broadcast(t)
         self._inject(t)
-        hops = self._advance_secondary(t, blocked)
-        bundle_hops = self._advance_bundles(t, blocked)
+        hops = self._advance_secondary(t, self.q_open[phase])
+        bundle_hops = self._advance_bundles(t, self.blocked[phase])
         deliveries = self._deliver(t, self.sink_open[phase])
         if self._in_audit(t):
             hops = tuple(np.concatenate(h) for h in zip(hops, bundle_hops))

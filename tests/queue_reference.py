@@ -76,8 +76,10 @@ def reference_inject(sim: TransportSim, paths: tuple, t: int) -> None:
 
 
 def reference_advance(sim: TransportSim, sec_pos: np.ndarray, paths: tuple, t: int,
-                      blocked: np.ndarray) -> tuple:
-    """Subframe 1: one hop per unblocked cell per path, eldest packet first."""
+                      open_q: np.ndarray) -> tuple:
+    """Subframe 1: one hop per unblocked cell per path, eldest packet first.
+    open_q is the sim's open mask over its queue positions, where pair r's
+    position p is entry off[r] + length[r] - 1 - p."""
     if sim.n_sampled == 0:
         return NO_HOPS
     flat, off, length = paths
@@ -87,7 +89,7 @@ def reference_advance(sim: TransportSim, sec_pos: np.ndarray, paths: tuple, t: i
     cells = flat[idx]
     lead = occ.copy()
     lead[:, 1:] &= pos[:, 1:] != pos[:, :-1]
-    move = lead & ~blocked[cells]
+    move = lead & open_q[(off + length - 1)[:, None] - np.clip(pos, 0, None)]
     prev_cells = cells[:, 0].copy()
     pos += move
 

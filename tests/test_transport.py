@@ -378,7 +378,7 @@ def test_hop_count_equals_path_length_minus_one():
     sim.cnt[row] = 1
     hops = 0
     while sim.delivered_s == 0:
-        sim._advance_secondary(hops, open_cells(sim))
+        sim._advance_secondary(hops, ~open_cells(sim)[sim.q_cell])
         hops += 1
         assert hops <= plen
     assert hops == plen - 1
@@ -393,7 +393,7 @@ def test_eldest_packet_moves_first():
     sim._inject(2)
     assert (sim.q[heads] == 2).all()
 
-    sim._advance_secondary(2, open_cells(sim))
+    sim._advance_secondary(2, ~open_cells(sim)[sim.q_cell])
     # the elder left, the younger is now the head, still unmoved; a
     # two-cell path delivers the elder in the same frame
     assert (sim.q[heads] == 1).all()
@@ -402,7 +402,7 @@ def test_eldest_packet_moves_first():
 
     t = 3
     while sim.delivered_s < 2 * sim.n_sampled:
-        sim._advance_secondary(t, open_cells(sim))
+        sim._advance_secondary(t, ~open_cells(sim)[sim.q_cell])
         t += 1
     # born at frames 0 and 2; the elder moves from frame 2 and arrives in
     # frame plen, the younger trails it by one frame
@@ -422,14 +422,14 @@ def test_preservation_rect_freezes_traffic():
     everything = np.ones(sim.gs.cell_count, dtype=bool)
     for t in range(20):
         sim._inject(t)
-        sim._advance_secondary(t, everything)
+        sim._advance_secondary(t, ~everything[sim.q_cell])
     # a blanket blocked region starves every path; the packets queue, honestly
     assert (sim.cnt == 10).all()
     assert np.array_equal(sim.q[heads], sim.cnt)
     assert sim.delivered_s == 0
     # the backlog sits in the counts, not in a wider queue array
     assert sim.q.size == size
-    sim._advance_secondary(20, open_cells(sim))
+    sim._advance_secondary(20, ~open_cells(sim)[sim.q_cell])
     # one packet per path hops on; a two-cell path delivers it at once
     assert (sim.q[heads] == 9).all()
     assert np.array_equal(sim.q[heads - 1], sim.plen > 2)
@@ -599,6 +599,23 @@ def test_phase_mask_is_union_of_preservation_regions(n, k_p):
         assert sim.sink_open[phase].tolist() == alone
 
 
+def test_queue_tables_hold_each_position_s_open_phases_and_keeper():
+    sim = make_sim(n=128.0, seed=3)
+    # one C-contiguous row per phase: the open cells at each queue position
+    assert sim.q_open.shape == (PHASES, len(sim.q_cell)) and sim.q_open.flags.c_contiguous
+    for phase in range(PHASES):
+        assert np.array_equal(sim.q_open[phase], ~sim.blocked[phase][sim.q_cell])
+    # a pair's block is laid out last position first: its destination, the
+    # relays of the cells between, its source
+    sec_pos = secondary_positions(sim.dep)
+    assert (sim.plen >= 2).all()
+    for r in range(sim.n_sampled):
+        block = slice(sim.path_off[r], sim.path_off[r] + sim.plen[r])
+        want = sec_pos[sim.sec_relay[sim.q_cell[block]]]
+        want[0], want[-1] = sec_pos[sim.s_dst[r]], sec_pos[sim.s_src[r]]
+        assert np.array_equal(sim.q_pos[block], want)
+
+
 class ValueLog(RateReport):
     """A RateReport that also keeps every recorded SINR value."""
 
@@ -677,8 +694,7 @@ def setup_arrays(n: float, seed: int) -> dict:
         "census": path_load_census(
             dep.secondary_cells[: 2 * sim.n_pairs_s].reshape(-1, 2), sim.k_s),
         "relay_tx_pos": sim.relay_tx_pos,
-        "s_src_pos": sim.s_src_pos,
-        "s_dst_pos": sim.s_dst_pos,
+        "q_pos": sim.q_pos,
     }
 
 
@@ -785,6 +801,98 @@ def test_broadcast_audit_raises_on_relay_in_middle_tick(monkeypatch):
     sim._audited_broadcasts = 0
     with pytest.raises(ValueError, match="interferer"):
         reference_audit_frame(sim, t, sent, relays, NO_HOPS, deliveries)
+
+
+def hop_widths(sim, t, cells):
+    """Each hop's live relays in its tick other than its own cell's, read
+    off the blocked table of frame t's phase."""
+    open_cells = ~sim.blocked[t % PHASES]
+    return np.array([np.count_nonzero(open_cells & (sim.sigma_s == sim.sigma_s[c])) - open_cells[c]
+                     for c in np.asarray(cells).tolist()])
+
+
+@pytest.mark.parametrize("hop_entries", [transport.AUDIT_HOP_ENTRIES, 16])
+@pytest.mark.parametrize("broadcasts", [0, 3])
+def test_padded_hop_block_rows_of_every_width(broadcasts, hop_entries, monkeypatch):
+    # a hop from every relay cell at n = 128 (k_s = 18), frame 16: rows of
+    # 0 to 5 live relays, each with the frame's broadcasts, so short rows
+    # are padded; 16-entry blocks cut the hops into batches of one row
+    monkeypatch.setattr(transport, "AUDIT_HOP_ENTRIES", hop_entries)
+    sim = make_sim(n=128.0, seed=3, frames=96, warmup=16)
+    t = 16
+    sent, relays, _, deliveries = crafted_frame(sim, np.random.default_rng(29))
+    sent, relays = sent[:broadcasts], relays[:broadcasts]
+    cells = sim.relay_cells
+    rx = np.random.default_rng(31).random((len(cells), 2))
+    hops = (sim.relay_tx_pos[: len(cells)], rx, cells)
+    widths = hop_widths(sim, t, cells)
+    assert 0 in widths and len(set(widths.tolist())) >= 5
+    frame = (t, sent, relays, hops, deliveries)
+    want = audit_values(sim, partial(reference_audit_frame, sim), 0, *frame)
+    got = audit_values(sim, sim._audit_frame, 0, *frame)
+    assert got.samples == want.samples
+    assert want.samples["secondary"] == len(cells)
+    assert sorted(got.values["secondary"]) == sorted(want.values["secondary"])
+
+
+def test_padded_hop_block_equals_reference_past_pairwise_block():
+    # k_s = 90: a row holds up to 143 entries, past the 128 that numpy's
+    # pairwise sum adds in one block before it recurses, and each audited
+    # frame holds rows of at least 3 widths
+    runs = [make_sim(n=1024.0, seed=0, frames=24, warmup=16, ap_scale=2.0) for _ in range(2)]
+    batched, reference = runs
+    use_reference_audit(reference)
+    entries = []
+    audit = batched._audit_frame
+
+    def watched(t, sent, relays, hops, deliveries):
+        entries.append(hop_widths(batched, t, hops[2]) + len(sent))
+        audit(t, sent, relays, hops, deliveries)
+
+    batched._audit_frame = watched
+    for sim in runs:
+        sim.report = ValueLog()
+        sim.run()
+    assert len(entries) == 8
+    assert all(len(set(row.tolist())) >= 3 for row in entries)
+    assert max(row.max() for row in entries) > 128
+    assert batched.report.samples == reference.report.samples
+    assert batched.report.min_sinr == reference.report.min_sinr
+    for cat, values in reference.report.values.items():
+        assert sorted(batched.report.values[cat]) == sorted(values)
+
+
+def test_padded_hop_block_raises_only_on_a_live_relay():
+    # hop 0 has the widest row, so hop 1's row is padded; hop 1's receiver
+    # sits on the first live relay after its tick's run, where a padded
+    # column would land without the sentinel. Only a receiver on a live
+    # relay of the hop's own tick is co-located with an interferer
+    sim = make_sim(n=128.0, seed=3, frames=96, warmup=16)
+    t = 16
+    sec_pos = secondary_positions(sim.dep)
+    sent, relays, _, deliveries = crafted_frame(sim, np.random.default_rng(37))
+    open_cells = ~sim.blocked[t % PHASES]
+    live = sim.relay_cells[open_cells[sim.relay_cells]]  # by tick, then cell
+    widths = hop_widths(sim, t, live)
+    wide, narrow = live[np.argmax(widths)], live[np.argmin(np.where(widths > 0, widths, 99))]
+    assert 0 < hop_widths(sim, t, [narrow])[0] < widths.max()
+    after = live[np.searchsorted(sim.sigma_s[live], sim.sigma_s[narrow], side="right")]
+    assert sim.sigma_s[after] > sim.sigma_s[narrow]
+    cells = np.array([wide, narrow])
+    tx = sec_pos[sim.sec_relay[cells]]
+    rx = np.array([[0.3, 0.7], sec_pos[sim.sec_relay[after]]])
+    frame = (t, sent, relays, (tx, rx, cells), deliveries)
+    want = audit_values(sim, partial(reference_audit_frame, sim), 0, *frame)
+    got = audit_values(sim, sim._audit_frame, 0, *frame)
+    assert sorted(got.values["secondary"]) == sorted(want.values["secondary"])
+    assert np.isinf(sim.relay_tx_pos[len(sim.relay_cells)]).all()
+    # the narrow hop's receiver moved onto another live relay of its tick
+    same_tick = live[(sim.sigma_s[live] == sim.sigma_s[narrow]) & (live != narrow)]
+    rx[1] = sec_pos[sim.sec_relay[same_tick[0]]]
+    for audit in (sim._audit_frame, partial(reference_audit_frame, sim)):
+        sim._audited_broadcasts = 0
+        with pytest.raises(ValueError, match="interferer co-located"):
+            audit(t, sent, relays, (tx, rx, cells), deliveries)
 
 
 def test_single_group_frames_submit_nothing(monkeypatch):
@@ -943,6 +1051,7 @@ def test_bundles_equal_per_object_reference(open_masks, monkeypatch):
         # hops are still returned and compared.
         for sim in runs:
             sim.blocked[:] = False
+            sim.q_open[:] = True
             sim._audit_frame = lambda *frame: None
     sent = [watch_sent_cells(sim, monkeypatch) for sim in runs]
     hops = [record_returns(sim, "_advance_bundles") for sim in runs]
